@@ -17,22 +17,9 @@ struct Sub {
 
 Sub induce(const sparse::Pattern& g, std::vector<int> verts,
            std::vector<int>& global_to_local) {
-  for (std::size_t i = 0; i < verts.size(); ++i)
-    global_to_local[static_cast<std::size_t>(verts[i])] = static_cast<int>(i);
-  std::vector<std::pair<int, int>> edges;
-  for (std::size_t i = 0; i < verts.size(); ++i) {
-    for (const int w : g.row(verts[i])) {
-      const int lw = global_to_local[static_cast<std::size_t>(w)];
-      if (lw > static_cast<int>(i)) edges.emplace_back(static_cast<int>(i), lw);
-    }
-  }
   Sub sub;
+  sub.graph = g.induced(verts, global_to_local);
   sub.verts = std::move(verts);
-  sub.graph = sparse::Pattern::fromEdges(static_cast<int>(sub.verts.size()),
-                                         std::move(edges));
-  // Reset the scratch map for the next caller.
-  for (const int v : sub.verts)
-    global_to_local[static_cast<std::size_t>(v)] = -1;
   return sub;
 }
 
@@ -40,23 +27,21 @@ Sub induce(const sparse::Pattern& g, std::vector<int> verts,
 /// unreached) and the number of levels.
 int bfsLevels(const sparse::Pattern& g, int start, std::vector<int>& level) {
   level.assign(static_cast<std::size_t>(g.n()), -1);
-  std::vector<int> frontier{start};
+  std::vector<int> queue;
+  queue.reserve(static_cast<std::size_t>(g.n()));
+  queue.push_back(start);
   level[static_cast<std::size_t>(start)] = 0;
-  int depth = 0;
-  while (!frontier.empty()) {
-    std::vector<int> next;
-    for (const int v : frontier) {
-      for (const int w : g.row(v)) {
-        if (level[static_cast<std::size_t>(w)] == -1) {
-          level[static_cast<std::size_t>(w)] = depth + 1;
-          next.push_back(w);
-        }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const int v = queue[head];
+    for (const int w : g.row(v)) {
+      if (level[static_cast<std::size_t>(w)] == -1) {
+        level[static_cast<std::size_t>(w)] =
+            level[static_cast<std::size_t>(v)] + 1;
+        queue.push_back(w);
       }
     }
-    frontier = std::move(next);
-    if (!frontier.empty()) ++depth;
   }
-  return depth + 1;
+  return level[static_cast<std::size_t>(queue.back())] + 1;
 }
 
 void orderRecursive(const sparse::Pattern& g, Sub sub,
@@ -105,8 +90,8 @@ void orderRecursive(const sparse::Pattern& g, Sub sub,
   std::vector<int> level_count(static_cast<std::size_t>(nlevels), 0);
   for (const int l : level) ++level_count[static_cast<std::size_t>(l)];
   int cut = 1, below = level_count[0];
-  while (cut < nlevels - 1 && below + level_count[static_cast<std::size_t>(cut)] <
-                                  n / 2) {
+  while (cut < nlevels - 1 &&
+         below + level_count[static_cast<std::size_t>(cut)] < n / 2) {
     below += level_count[static_cast<std::size_t>(cut)];
     ++cut;
   }

@@ -22,6 +22,7 @@ class Pattern {
 
   /// Build from (row, col) entries. Entries are symmetrized (both (i,j)
   /// and (j,i) are inserted), deduplicated, and diagonal entries dropped.
+  /// Counting sort into rows, then a sort of each row: O(E + Σ d log d).
   static Pattern fromEdges(int n, std::vector<std::pair<int, int>> edges);
 
   int n() const { return n_; }
@@ -47,6 +48,12 @@ class Pattern {
   /// Symmetric permutation: vertex i of the result is vertex perm[i] of
   /// this pattern (perm is the new->old map).
   Pattern permuted(const std::vector<int>& new_to_old) const;
+
+  /// Subgraph induced on `verts`: vertex i of the result is vertex
+  /// verts[i] of this pattern. `global_to_local` is caller-owned scratch of
+  /// size n() holding -1 everywhere; it is left that way on return.
+  Pattern induced(const std::vector<int>& verts,
+                  std::vector<int>& global_to_local) const;
 
   /// Connected components; fills labels[v] in [0, count).
   int connectedComponents(std::vector<int>* labels) const;

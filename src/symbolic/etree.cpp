@@ -68,24 +68,65 @@ std::vector<int> postorder(const std::vector<int>& parent) {
 
 std::vector<std::int64_t> columnCounts(const sparse::Pattern& pattern,
                                        const std::vector<int>& parent) {
+  // Gilbert–Ng–Peyton: count(j) = number of row subtrees that contain j.
+  // Walking the nodes in postorder, each entry A(i,j) (i > j) whose column
+  // j is a leaf of row subtree i adds one at j; when j is not the first
+  // leaf of that subtree, the path from the previous leaf already counted
+  // everything above their least common ancestor q, so q gives one back.
+  // Summing these deltas over each subtree yields the counts. The LCAs come
+  // from a path-compressed disjoint-set forest, for O(nnz(A)·α(n)) total.
   const int n = pattern.n();
   LOADEX_EXPECT(static_cast<int>(parent.size()) == n, "parent size mismatch");
-  std::vector<std::int64_t> count(static_cast<std::size_t>(n), 1);  // diag
-  std::vector<int> mark(static_cast<std::size_t>(n), -1);
-  for (int i = 0; i < n; ++i) {
-    mark[static_cast<std::size_t>(i)] = i;
-    for (const int j : pattern.row(i)) {
-      if (j >= i) continue;
-      // Climb the row subtree of i starting at j; stop at visited nodes.
-      int k = j;
-      while (k != -1 && k != i && mark[static_cast<std::size_t>(k)] != i) {
-        ++count[static_cast<std::size_t>(k)];
-        mark[static_cast<std::size_t>(k)] = i;
-        k = parent[static_cast<std::size_t>(k)];
-      }
-    }
+  const auto at = [](auto& v, int k) -> auto& {
+    return v[static_cast<std::size_t>(k)];
+  };
+  const std::vector<int> post = postorder(parent);
+
+  // first[j]: postorder index of the first descendant of j; a node is a
+  // leaf of the etree exactly when no earlier node claimed it.
+  std::vector<std::int64_t> delta(static_cast<std::size_t>(n), 0);
+  std::vector<int> first(static_cast<std::size_t>(n), -1);
+  for (int k = 0; k < n; ++k) {
+    int j = at(post, k);
+    at(delta, j) = at(first, j) == -1 ? 1 : 0;
+    for (; j != -1 && at(first, j) == -1; j = at(parent, j)) at(first, j) = k;
   }
-  return count;
+
+  std::vector<int> max_first(static_cast<std::size_t>(n), -1);
+  std::vector<int> prev_leaf(static_cast<std::size_t>(n), -1);
+  std::vector<int> ancestor(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) at(ancestor, i) = i;
+  for (int k = 0; k < n; ++k) {
+    const int j = at(post, k);
+    if (at(parent, j) != -1) --at(delta, at(parent, j));
+    for (const int i : pattern.row(j)) {
+      // Is j a leaf of row subtree i (not inside an earlier leaf's span)?
+      if (i <= j || at(first, j) <= at(max_first, i)) continue;
+      at(max_first, i) = at(first, j);
+      const int prev = at(prev_leaf, i);
+      at(prev_leaf, i) = j;
+      ++at(delta, j);
+      if (prev == -1) continue;  // first leaf of the subtree
+      int q = prev;
+      while (q != at(ancestor, q)) q = at(ancestor, q);
+      for (int s = prev; s != q;) {
+        const int up = at(ancestor, s);
+        at(ancestor, s) = q;
+        s = up;
+      }
+      --at(delta, q);
+    }
+    if (at(parent, j) != -1) at(ancestor, j) = at(parent, j);
+  }
+  // Children precede parents in index order in an elimination tree, so one
+  // ascending pass accumulates every subtree.
+  for (int j = 0; j < n; ++j) {
+    const int p = at(parent, j);
+    if (p == -1) continue;
+    LOADEX_EXPECT(p > j, "parent[] is not an elimination tree");
+    at(delta, p) += at(delta, j);
+  }
+  return delta;
 }
 
 int treeHeight(const std::vector<int>& parent) {

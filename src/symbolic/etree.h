@@ -21,8 +21,10 @@ std::vector<int> eliminationTree(const sparse::Pattern& pattern);
 /// increasing order, roots in increasing order; returns new->old.
 std::vector<int> postorder(const std::vector<int>& parent);
 
-/// Exact column counts of the Cholesky factor L (including the diagonal),
-/// by row-subtree traversal. Cost is O(nnz(L)).
+/// Exact column counts of the Cholesky factor L (including the diagonal).
+/// `parent` must be the elimination tree of `pattern`. Gilbert–Ng–Peyton
+/// skeleton / least-common-ancestor counting (as CSparse's cs_counts):
+/// O(nnz(A)·α(n)), independent of the fill.
 std::vector<std::int64_t> columnCounts(const sparse::Pattern& pattern,
                                        const std::vector<int>& parent);
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/expect.h"
 #include "common/rng.h"
@@ -60,6 +64,160 @@ TEST(Pattern, ConnectedComponents) {
   EXPECT_EQ(labels[1], labels[2]);
   EXPECT_NE(labels[0], labels[3]);
   EXPECT_EQ(labels[4], labels[5]);
+}
+
+// ---- oracle: the sort-of-pairs CSR construction ----------------------------
+//
+// The original fromEdges: symmetrize into (row, col) pairs, sort and unique
+// them, then read the CSR off the sorted list. Kept here as the reference
+// the counting construction (and permuted / induced, which bypass it) must
+// reproduce exactly, ptr() and ind() alike.
+
+struct Csr {
+  std::vector<std::int64_t> ptr;
+  std::vector<int> ind;
+};
+
+Csr referenceFromEdges(int n, const std::vector<std::pair<int, int>>& edges) {
+  std::vector<std::pair<int, int>> sym;
+  for (const auto& [i, j] : edges) {
+    if (i == j) continue;
+    sym.emplace_back(i, j);
+    sym.emplace_back(j, i);
+  }
+  std::sort(sym.begin(), sym.end());
+  sym.erase(std::unique(sym.begin(), sym.end()), sym.end());
+  Csr c;
+  c.ptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const auto& [i, _] : sym) ++c.ptr[static_cast<std::size_t>(i) + 1];
+  for (int i = 0; i < n; ++i)
+    c.ptr[static_cast<std::size_t>(i) + 1] +=
+        c.ptr[static_cast<std::size_t>(i)];
+  for (const auto& [_, j] : sym) c.ind.push_back(j);
+  return c;
+}
+
+/// Every undirected edge of `p` once, as (smaller, larger).
+std::vector<std::pair<int, int>> edgesOf(const Pattern& p) {
+  std::vector<std::pair<int, int>> e;
+  for (int i = 0; i < p.n(); ++i)
+    for (const int j : p.row(i))
+      if (j > i) e.emplace_back(i, j);
+  return e;
+}
+
+/// Uniform vertex in [0, n); n > 0.
+int pick(Rng& rng, int n) {
+  return static_cast<int>(rng.uniformInt(static_cast<std::uint64_t>(n)));
+}
+
+/// Random edge list on n vertices with duplicates, both orientations of
+/// some edges, self-loops and (for sparse draws) isolated vertices.
+std::vector<std::pair<int, int>> randomEdges(int n, Rng& rng) {
+  std::vector<std::pair<int, int>> e;
+  if (n == 0) return e;
+  const int count = pick(rng, 3 * n + 1);
+  for (int k = 0; k < count; ++k) {
+    const int i = pick(rng, n);
+    const int j = rng.bernoulli(0.1) ? i : pick(rng, n);
+    e.emplace_back(i, j);
+    if (rng.bernoulli(0.2)) e.emplace_back(j, i);
+    if (rng.bernoulli(0.1)) e.emplace_back(i, j);
+  }
+  // A dense row, like GUPTA3's, now and then.
+  if (rng.bernoulli(0.3)) {
+    const int hub = pick(rng, n);
+    for (int v = 0; v < n; ++v)
+      if (rng.bernoulli(0.7)) e.emplace_back(v, hub);
+  }
+  return e;
+}
+
+std::vector<int> randomPermutation(int n, Rng& rng) {
+  std::vector<int> p = identityPermutation(n);
+  rng.shuffle(p);
+  return p;
+}
+
+TEST(PatternOracle, FromEdgesMatchesSortOfPairs) {
+  Rng rng(101);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int n = trial == 0 ? 0 : pick(rng, 80);
+    const auto edges = randomEdges(n, rng);
+    const Csr want = referenceFromEdges(n, edges);
+    const Pattern got = Pattern::fromEdges(n, edges);
+    ASSERT_EQ(got.n(), n) << "trial " << trial;
+    ASSERT_EQ(got.ptr(), want.ptr) << "trial " << trial;
+    ASSERT_EQ(got.ind(), want.ind) << "trial " << trial;
+  }
+}
+
+TEST(PatternOracle, FromEdgesRejectsOutOfRangeEndpoints) {
+  Rng rng(102);
+  for (int trial = 0; trial < 50; ++trial) {
+    const int n = 1 + pick(rng, 40);
+    auto edges = randomEdges(n, rng);
+    const int bad = rng.bernoulli(0.5) ? n + pick(rng, 5) : -1 - pick(rng, 5);
+    const int ok = pick(rng, n);
+    const int at = pick(rng, static_cast<int>(edges.size()) + 1);
+    edges.insert(edges.begin() + at,
+                 rng.bernoulli(0.5) ? std::pair{bad, ok} : std::pair{ok, bad});
+    EXPECT_THROW(Pattern::fromEdges(n, edges), ContractViolation) << trial;
+  }
+  EXPECT_THROW(Pattern::fromEdges(0, {{0, 0}}), ContractViolation);
+  EXPECT_THROW(Pattern::fromEdges(-1, {}), ContractViolation);
+}
+
+TEST(PatternOracle, PermutedMatchesRelabelledEdges) {
+  Rng rng(103);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = trial == 0 ? 0 : pick(rng, 80);
+    const Pattern p = Pattern::fromEdges(n, randomEdges(n, rng));
+    const std::vector<int> new_to_old = randomPermutation(n, rng);
+    const std::vector<int> old_to_new = invertPermutation(new_to_old);
+    std::vector<std::pair<int, int>> relabelled;
+    for (const auto& [i, j] : edgesOf(p))
+      relabelled.emplace_back(old_to_new[static_cast<std::size_t>(i)],
+                              old_to_new[static_cast<std::size_t>(j)]);
+    const Csr want = referenceFromEdges(n, relabelled);
+    const Pattern got = p.permuted(new_to_old);
+    ASSERT_EQ(got.ptr(), want.ptr) << "trial " << trial;
+    ASSERT_EQ(got.ind(), want.ind) << "trial " << trial;
+  }
+}
+
+TEST(PatternOracle, InducedMatchesFilteredEdges) {
+  Rng rng(104);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = trial == 0 ? 0 : pick(rng, 80);
+    const Pattern p = Pattern::fromEdges(n, randomEdges(n, rng));
+    std::vector<int> verts = randomPermutation(n, rng);
+    verts.resize(static_cast<std::size_t>(pick(rng, n + 1)));
+    std::vector<int> local(static_cast<std::size_t>(n), -1);
+    for (std::size_t i = 0; i < verts.size(); ++i)
+      local[static_cast<std::size_t>(verts[i])] = static_cast<int>(i);
+    std::vector<std::pair<int, int>> kept;
+    for (const auto& [i, j] : edgesOf(p)) {
+      const int li = local[static_cast<std::size_t>(i)];
+      const int lj = local[static_cast<std::size_t>(j)];
+      if (li != -1 && lj != -1) kept.emplace_back(li, lj);
+    }
+    const Csr want = referenceFromEdges(static_cast<int>(verts.size()), kept);
+    std::vector<int> scratch(static_cast<std::size_t>(n), -1);
+    const Pattern got = p.induced(verts, scratch);
+    ASSERT_EQ(got.ptr(), want.ptr) << "trial " << trial;
+    ASSERT_EQ(got.ind(), want.ind) << "trial " << trial;
+    EXPECT_TRUE(std::all_of(scratch.begin(), scratch.end(),
+                            [](int v) { return v == -1; }));
+  }
+}
+
+TEST(PatternOracle, InducedRejectsRepeatedVertices) {
+  const auto p = Pattern::fromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
+  std::vector<int> scratch(4, -1);
+  EXPECT_THROW(p.induced({1, 2, 1}, scratch), ContractViolation);
+  std::vector<int> wrong_size(3, -1);
+  EXPECT_THROW(p.induced({0}, wrong_size), ContractViolation);
 }
 
 TEST(PermutationHelpers, InvertAndIdentity) {

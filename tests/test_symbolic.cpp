@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
 #include <tuple>
 
 #include "common/expect.h"
@@ -100,6 +103,84 @@ TEST(ColCounts, MatchBruteForceOnRandomGraphs) {
     const auto p = sparse::Pattern::fromEdges(n, std::move(e));
     const auto parent = eliminationTree(p);
     EXPECT_EQ(columnCounts(p, parent), bruteColCounts(p)) << "trial " << trial;
+  }
+}
+
+// The original row-subtree column counts: for each row i, climb the etree
+// from every j < i in row i up to i, counting each node once. O(nnz(L));
+// kept as the reference the skeleton/LCA algorithm must reproduce.
+std::vector<std::int64_t> referenceColumnCounts(
+    const sparse::Pattern& pattern, const std::vector<int>& parent) {
+  const int n = pattern.n();
+  std::vector<std::int64_t> count(static_cast<std::size_t>(n), 1);  // diag
+  std::vector<int> mark(static_cast<std::size_t>(n), -1);
+  for (int i = 0; i < n; ++i) {
+    mark[static_cast<std::size_t>(i)] = i;
+    for (const int j : pattern.row(i)) {
+      if (j >= i) continue;
+      int k = j;
+      while (k != -1 && k != i && mark[static_cast<std::size_t>(k)] != i) {
+        ++count[static_cast<std::size_t>(k)];
+        mark[static_cast<std::size_t>(k)] = i;
+        k = parent[static_cast<std::size_t>(k)];
+      }
+    }
+  }
+  return count;
+}
+
+/// Random pattern made of `parts` disjoint random subgraphs (so its
+/// elimination tree is a forest), vertices shuffled across the index range.
+sparse::Pattern randomForestPattern(int n, int parts, Rng& rng) {
+  std::vector<int> label = sparse::identityPermutation(n);
+  rng.shuffle(label);
+  std::vector<std::pair<int, int>> e;
+  const int per = std::max(1, n / parts);
+  for (int k = 0; k < 3 * n; ++k) {
+    const int a = static_cast<int>(rng.uniformInt(n));
+    const int base = (a / per) * per;
+    const int span = std::min(per, n - base);
+    const int b = base + static_cast<int>(rng.uniformInt(span));
+    e.emplace_back(label[static_cast<std::size_t>(a)],
+                   label[static_cast<std::size_t>(b)]);
+  }
+  return sparse::Pattern::fromEdges(n, std::move(e));
+}
+
+TEST(ColCounts, MatchRowSubtreeReferenceUnderOrderings) {
+  Rng rng(23);
+  int forests = 0;  // trials whose elimination tree has several roots
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = trial == 0 ? 0 : 1 + static_cast<int>(rng.uniformInt(400));
+    const int parts = 1 + static_cast<int>(rng.uniformInt(4));
+    const auto g = randomForestPattern(n, parts, rng);
+    std::vector<int> random_order = sparse::identityPermutation(n);
+    rng.shuffle(random_order);
+    for (const auto& perm : {random_order, ordering::nestedDissection(g),
+                             ordering::reverseCuthillMcKee(g)}) {
+      const auto p = g.permuted(perm);
+      const auto parent = eliminationTree(p);
+      ASSERT_EQ(columnCounts(p, parent), referenceColumnCounts(p, parent))
+          << "trial " << trial << " n " << n << " parts " << parts;
+    }
+    const auto etree = eliminationTree(g);
+    forests += std::count(etree.begin(), etree.end(), -1) > 1;
+  }
+  EXPECT_GT(forests, 0);
+}
+
+TEST(ColCounts, MatchRowSubtreeReferenceOnPaperFamilies) {
+  Rng rng(24);
+  const std::vector<sparse::Pattern> graphs = {
+      sparse::grid3d(9, 8, 7, true),
+      sparse::lpAAT(300, 600, 5, rng),
+      sparse::circuitLike(2000, 4, 6, rng),
+      sparse::randomMesh(1500, 6, rng, true),
+  };
+  for (const auto& g : graphs) {
+    const auto p = g.permuted(ordering::nestedDissection(g));
+    const auto parent = eliminationTree(p);
+    EXPECT_EQ(columnCounts(p, parent), referenceColumnCounts(p, parent));
   }
 }
 
@@ -223,6 +304,119 @@ TEST(AssemblyTree, RequiresMonotoneParent) {
   const std::vector<int> bad_parent{2, 0, -1};  // parent[1] = 0 < 1
   const std::vector<std::int64_t> cc{1, 1, 1};
   EXPECT_THROW(buildAssemblyTree(bad_parent, cc), ContractViolation);
+}
+
+// ---- golden setup digest ---------------------------------------------------
+//
+// FNV-1a over everything the symbolic preprocessing hands to the solver for
+// each paper problem: the generated pattern, the combined permutation, the
+// elimination tree, the column counts and the amalgamated assembly tree
+// (front, pivots and parent of every node). Any change to the generators,
+// the orderings, the CSR construction or the counting algorithms that moves
+// a single output bit changes a digest. The constants are pinned: a change
+// that is meant to alter the analysis must update them deliberately.
+
+class Fnv1a {
+ public:
+  void add(std::int64_t v) {
+    auto u = static_cast<std::uint64_t>(v);
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (u >> (8 * b)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  template <typename Range>
+  void addAll(const Range& r) {
+    add(static_cast<std::int64_t>(r.size()));
+    for (const auto v : r) add(static_cast<std::int64_t>(v));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t setupDigest(const sparse::Pattern& g) {
+  const Analysis a = analyze(g, ordering::nestedDissection(g));
+  Fnv1a h;
+  h.addAll(g.ptr());
+  h.addAll(g.ind());
+  h.addAll(a.perm);
+  h.addAll(a.parent);
+  h.addAll(a.col_count);
+  h.add(a.tree.size());
+  for (const auto& nd : a.tree.nodes()) {
+    h.add(nd.front);
+    h.add(nd.npiv);
+    h.add(nd.parent);
+  }
+  return h.value();
+}
+
+/// paperSuiteSmall(1.0, 1) followed by paperSuiteLarge(1.0, 1), built once.
+const std::vector<sparse::Problem>& paperProblems() {
+  static const std::vector<sparse::Problem> problems = [] {
+    std::vector<sparse::Problem> all = sparse::paperSuiteSmall(1.0, 1);
+    for (auto& p : sparse::paperSuiteLarge(1.0, 1)) all.push_back(std::move(p));
+    return all;
+  }();
+  return problems;
+}
+
+using Digests = std::vector<std::pair<std::string, std::uint64_t>>;
+
+template <typename DigestFn>
+void expectDigests(const Digests& expected, DigestFn digest) {
+  const auto& problems = paperProblems();
+  ASSERT_EQ(problems.size(), expected.size());
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    EXPECT_EQ(problems[i].name, expected[i].first);
+    const std::uint64_t d = digest(problems[i].pattern);
+    EXPECT_EQ(d, expected[i].second)
+        << problems[i].name << " digest 0x" << std::hex << d;
+  }
+}
+
+TEST(SetupDigest, PaperSuitesAreBitIdentical) {
+  expectDigests(
+      {
+          {"BMWCRA_1", 0xa4ca8ef4a3d2f08full},
+          {"GUPTA3", 0xc54b74f89319a884ull},
+          {"MSDOOR", 0x5821333df431f4f4ull},
+          {"SHIP_003", 0x63db3430ba5d7367ull},
+          {"PRE2", 0x3a0522c52b30d7f9ull},
+          {"TWOTONE", 0x1f0c7975ef78a9b3ull},
+          {"ULTRASOUND3", 0x729db8d086cb8e2aull},
+          {"XENON2", 0xa22bdeadfaf6e3c6ull},
+          {"AUDIKW_1", 0xa748af31e48b4184ull},
+          {"CONV3D64", 0x22973c34d3821bcdull},
+          {"ULTRASOUND80", 0x37d98c73dde3b72cull},
+      },
+      setupDigest);
+}
+
+// Reverse Cuthill–McKee shares the degree-sorted BFS with the
+// nested-dissection separator search; pin its orderings too.
+TEST(SetupDigest, RcmOrderingsAreBitIdentical) {
+  expectDigests(
+      {
+          {"BMWCRA_1", 0xa36149b0cb8bdcdbull},
+          {"GUPTA3", 0x360b10a797c29324ull},
+          {"MSDOOR", 0xabc984d2c40c854full},
+          {"SHIP_003", 0x6568a45404bd5996ull},
+          {"PRE2", 0xfb407ce847243755ull},
+          {"TWOTONE", 0x6ca0a14304139732ull},
+          {"ULTRASOUND3", 0x11b64b7b2eac77e9ull},
+          {"XENON2", 0xb1582429e61e1dfeull},
+          {"AUDIKW_1", 0x46373a07041edc0aull},
+          {"CONV3D64", 0x3fbadee12f273fbbull},
+          {"ULTRASOUND80", 0x8629d71d1a8c588eull},
+      },
+      [](const sparse::Pattern& g) {
+        Fnv1a h;
+        h.addAll(ordering::reverseCuthillMcKee(g));
+        return h.value();
+      });
 }
 
 // Parameterized sweep over generators and orderings: pivot conservation
