@@ -18,6 +18,7 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "core/mechanism.h"
 
@@ -34,6 +35,11 @@ class RtTransport final : public core::Transport {
   SimTime now() const override;
   void sendState(Rank dst, core::StateTag tag, Bytes size,
                  std::shared_ptr<const sim::Payload> payload) override;
+  /// Same envelopes as one sendState per destination, but the world's
+  /// pending-work counter is raised once for the whole fan-out.
+  void sendStateBroadcast(const std::vector<Rank>& dsts, core::StateTag tag,
+                          Bytes size,
+                          std::shared_ptr<const sim::Payload> payload) override;
   /// Timers are node-confined: mechanisms arm them from inside handlers,
   /// which only ever run on this rank's thread. Hard-fails elsewhere.
   void schedule(SimTime delay, std::function<void()> fn) override;

@@ -60,11 +60,14 @@ WorkloadResult WorkloadDriver::run(const harness::Script& script,
       harness::orderedScriptOps(script);
 
   const SimTime t_start = world_.now();
-  SimTime prev = ops.empty() ? 0.0 : ops.front().time;
+  const SimTime first = ops.empty() ? 0.0 : ops.front().time;
   for (const harness::ScriptOpRef& op : ops) {
-    if (time_scale > 0.0 && op.time > prev)
-      MonotonicClock::sleepFor((op.time - prev) * time_scale);
-    prev = op.time;
+    // Sleep to the op's absolute deadline, not for the gap since the
+    // previous op: every sleep overshoots, and relative sleeps would add
+    // the overshoots up over the whole script.
+    if (time_scale > 0.0)
+      MonotonicClock::sleepFor(t_start + (op.time - first) * time_scale -
+                               world_.now());
     switch (op.what) {
       case harness::ScriptOpRef::What::kLoad:
         postLoad(script.loads[op.index]);

@@ -1,16 +1,18 @@
 // rt::WorkloadDriver — replays harness::Script plans on a running RtWorld.
 //
-// The driver thread walks the script in time order (optionally pacing the
-// gaps by `time_scale` real seconds per script second; 0 floods the world
-// as fast as backpressure allows) and posts every op onto the owning
-// rank: load changes as plain closures, selections deferred while a live
-// snapshot blocks the master, delegated work as a task envelope to the
-// chosen slave. Which OS thread runs an op is the executor's business
-// (a dedicated rank thread under legacy, any worker holding the rank's
-// shard lock under M:N) — the driver only ever names ranks. The scheduling policy is the shared
-// harness::leastLoadedSlave, so a sim replay of the same script commits
-// the same number of selections and injects the same total load — the
-// invariants tests/test_rt_differential.cpp checks.
+// The driver thread walks the script in time order (optionally paced at
+// `time_scale` real seconds per script second, each op posted at its
+// absolute deadline from the first op so sleep overshoots do not add up;
+// 0 floods the world as fast as backpressure allows) and posts every op
+// onto the owning rank: load changes as plain closures, selections
+// deferred while a live snapshot blocks the master, delegated work as a
+// task envelope to the chosen slave. Which OS thread runs an op is the
+// executor's business (a dedicated rank thread under legacy, any worker
+// holding the rank's shard lock under M:N) — the driver only ever names
+// ranks. The scheduling policy is the shared harness::leastLoadedSlave,
+// so a sim replay of the same script commits the same number of
+// selections and injects the same total load — the invariants
+// tests/test_rt_differential.cpp checks.
 #pragma once
 
 #include <cstdint>

@@ -11,6 +11,13 @@
 
 namespace loadex::rt {
 
+namespace {
+/// Envelopes a worker takes from a mailbox per tryPopBatch (its scratch
+/// buffer size); one shard visit drains as many chunks as the backlog
+/// needs, up to the mailbox's capacity.
+constexpr std::size_t kDrainChunk = 16;
+}  // namespace
+
 // ---- RtTransport ----------------------------------------------------------
 
 int RtTransport::nprocs() const { return world_.nprocs(); }
@@ -20,6 +27,12 @@ SimTime RtTransport::now() const { return world_.now(); }
 void RtTransport::sendState(Rank dst, core::StateTag tag, Bytes size,
                             std::shared_ptr<const sim::Payload> payload) {
   world_.postState(self_, dst, tag, size, std::move(payload));
+}
+
+void RtTransport::sendStateBroadcast(
+    const std::vector<Rank>& dsts, core::StateTag tag, Bytes size,
+    std::shared_ptr<const sim::Payload> payload) {
+  world_.postStateBroadcast(self_, dsts, tag, size, payload);
 }
 
 void RtTransport::schedule(SimTime delay, std::function<void()> fn) {
@@ -198,20 +211,42 @@ RtWorld::Node& RtWorld::callingNode() {
 
 void RtWorld::postState(Rank src, Rank dst, core::StateTag tag, Bytes size,
                         std::shared_ptr<const sim::Payload> payload) {
-  state_posted_.fetch_add(1, std::memory_order_relaxed);
-  state_bytes_.fetch_add(size, std::memory_order_relaxed);
-  Envelope e;
-  e.kind = Envelope::Kind::kState;
-  e.msg = sim::Message{src, dst, sim::Channel::kState, static_cast<int>(tag),
-                       size, std::move(payload)};
-  pending_.fetch_add(1, std::memory_order_relaxed);
   // Mechanisms send only from their own node thread; route through that
   // node's spill queue so a full peer mailbox never blocks the sender.
   Node& sender = node(src);
   LOADEX_EXPECT(&callingNode() == &sender,
                 "mechanism API driven off its node thread (post a closure "
                 "with RtWorld::post instead)");
+  ++sender.state_posted;
+  sender.state_bytes += size;
+  Envelope e;
+  e.kind = Envelope::Kind::kState;
+  e.msg = sim::Message{src, dst, sim::Channel::kState, static_cast<int>(tag),
+                       size, std::move(payload)};
+  pending_.fetch_add(1, std::memory_order_relaxed);
   sendFromNode(sender, dst, std::move(e));
+}
+
+void RtWorld::postStateBroadcast(
+    Rank src, const std::vector<Rank>& dsts, core::StateTag tag, Bytes size,
+    const std::shared_ptr<const sim::Payload>& payload) {
+  Node& sender = node(src);
+  LOADEX_EXPECT(&callingNode() == &sender,
+                "mechanism API driven off its node thread (post a closure "
+                "with RtWorld::post instead)");
+  const auto copies = static_cast<std::int64_t>(dsts.size());
+  sender.state_posted += copies;
+  sender.state_bytes += copies * size;
+  // Counted before the first copy can reach a receiver, so no handler
+  // can settle a copy the counter has not seen yet.
+  pending_.fetch_add(copies, std::memory_order_relaxed);
+  for (const Rank dst : dsts) {
+    Envelope e;
+    e.kind = Envelope::Kind::kState;
+    e.msg = sim::Message{src, dst, sim::Channel::kState,
+                         static_cast<int>(tag), size, payload};
+    sendFromNode(sender, dst, std::move(e));
+  }
 }
 
 void RtWorld::scheduleOnCallingNode(double delay, std::function<void()> fn) {
@@ -363,8 +398,7 @@ void RtWorld::enqueueFromNode(Node& src, Rank dst, Envelope&& e,
   if (not_before <= 0.0 && (q == nullptr || q->empty()) &&
       d.mailbox.tryPush(std::move(e)))
     return;
-  if (not_before <= 0.0)
-    spill_enqueues_.fetch_add(1, std::memory_order_relaxed);
+  if (not_before <= 0.0) ++src.spill_enqueues;
   if (q == nullptr) q = std::make_unique<std::deque<SpillEntry>>();
   if (q->empty()) src.spill_dirty.push_back(dst);
   q->push_back({std::move(e), not_before});
@@ -638,9 +672,7 @@ void RtWorld::workerLoop(int w) {
   // a sparse message chain sees ~tens of µs latency while a truly idle
   // pool costs one wake per worker per max_idle_wait_s.
   constexpr double kMinIdleS = 20e-6;
-  const auto batch =
-      static_cast<std::size_t>(std::max(1, cfg_.executor.drain_batch));
-  std::vector<Envelope> scratch(batch);
+  std::vector<Envelope> scratch(kDrainChunk);
   double backoff = kMinIdleS;
   // Steal-rate accounting: plain worker-locals on the hot path, folded
   // into the world atomics (and the obs registry, per worker) at exit.
@@ -725,42 +757,53 @@ void RtWorld::processShardNode(Shard& sh, Node& n,
   n.pub_spill.store(n.spill_size, std::memory_order_relaxed);
 
   const int fired = n.wheel.fireDue(clock_.now());
-  if (fired > 0) {
-    n.timers_fired += fired;
-    pending_.fetch_sub(fired, std::memory_order_release);
-    pass.did_work = true;
-  }
+  n.timers_fired += fired;
   flushSpill(n);
 
-  const std::size_t k = n.mailbox.tryPopBatch(scratch.data(), scratch.size());
-  for (std::size_t i = 0; i < k; ++i) {
-    Envelope& e = scratch[i];
-    switch (e.kind) {
-      case Envelope::Kind::kState:
-        ++n.delivered_state;
-        LOADEX_EXPECT(n.handler != nullptr, "state message with no handler");
-        n.handler->onStateMessage(e.msg);
-        break;
-      case Envelope::Kind::kTask:
-        ++n.delivered_task;
-        e.fn();
-        break;
-      case Envelope::Kind::kStop:
-        // Mark the rank done but deliver the rest of the batch — an
-        // envelope behind a kStop only exists on undrained stops, and
-        // delivering beats stranding it.
-        n.stopped = true;
-        pending_.fetch_sub(1, std::memory_order_release);
-        stops_remaining_.fetch_sub(1, std::memory_order_release);
-        e = Envelope{};
-        continue;
+  // Drain the whole backlog: the fixed cost above, the spill rescan
+  // above all, is then paid once per backlog rather than once per
+  // chunk. Capping a visit at one mailbox capacity keeps a rank whose
+  // handlers feed its own mailbox from holding the shard lock forever.
+  const std::size_t budget = n.mailbox.capacity();
+  std::size_t taken = 0;
+  std::int64_t ran = fired;  // settled in one step once they all returned
+  while (taken < budget) {
+    const std::size_t k = n.mailbox.tryPopBatch(
+        scratch.data(), std::min(scratch.size(), budget - taken));
+    if (k == 0) break;
+    taken += k;
+    for (std::size_t i = 0; i < k; ++i) {
+      Envelope& e = scratch[i];
+      switch (e.kind) {
+        case Envelope::Kind::kState:
+          ++n.delivered_state;
+          LOADEX_EXPECT(n.handler != nullptr,
+                        "state message with no handler");
+          n.handler->onStateMessage(e.msg);
+          break;
+        case Envelope::Kind::kTask:
+          ++n.delivered_task;
+          e.fn();
+          break;
+        case Envelope::Kind::kStop:
+          // Mark the rank done but deliver the rest of the backlog — an
+          // envelope behind a kStop only exists on undrained stops, and
+          // delivering beats stranding it. The stop protocol needs this
+          // one settled now, not at the end of the visit.
+          n.stopped = true;
+          pending_.fetch_sub(1, std::memory_order_release);
+          stops_remaining_.fetch_sub(1, std::memory_order_release);
+          e = Envelope{};
+          continue;
+      }
+      ++ran;
+      e = Envelope{};  // drop payload/closure refs eagerly
     }
-    // Decrement only after the handler ran: anything it posted is
-    // already counted, so pending can never dip to a false zero.
-    pending_.fetch_sub(1, std::memory_order_release);
-    e = Envelope{};  // drop payload/closure refs eagerly
   }
-  if (k > 0) pass.did_work = true;
+  // Settle only after every handler of the visit ran: anything they
+  // posted is already counted, so pending can never dip to a false zero.
+  if (ran > 0) pending_.fetch_sub(ran, std::memory_order_release);
+  if (ran > 0 || taken > 0) pass.did_work = true;
   if (n.wheel.pending() > 0 || n.spill_size > 0) pass.urgent = true;
   t_current_node = nullptr;
 }
@@ -779,11 +822,8 @@ RtWorld::LifecycleCounts RtWorld::lifecycleCounts() const {
 
 RtRunStats RtWorld::runStats() const {
   RtRunStats s;
-  s.state_posted = state_posted_.load(std::memory_order_relaxed);
-  s.state_bytes = state_bytes_.load(std::memory_order_relaxed);
   s.task_posted = task_posted_.load(std::memory_order_relaxed);
   s.timers_armed = timers_armed_.load(std::memory_order_relaxed);
-  s.spill_enqueues = spill_enqueues_.load(std::memory_order_relaxed);
   s.shard_visits_home = shard_visits_home_.load(std::memory_order_relaxed);
   s.shard_visits_stolen =
       shard_visits_stolen_.load(std::memory_order_relaxed);
@@ -804,6 +844,9 @@ RtRunStats RtWorld::runStats() const {
   s.deaths_declared = deaths_declared_.load(std::memory_order_relaxed);
   s.revives = revives_.load(std::memory_order_relaxed);
   for (const auto& n : nodes_) {
+    s.state_posted += n->state_posted;
+    s.state_bytes += n->state_bytes;
+    s.spill_enqueues += n->spill_enqueues;
     s.state_delivered += n->delivered_state;
     s.task_delivered += n->delivered_task;
     s.timers_fired += n->timers_fired;

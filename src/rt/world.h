@@ -16,8 +16,9 @@
 //     fit on 8 cores. A shard's mutex (sync::LockRank::kShard) is the
 //     consumer-ownership token for every member rank's mailbox, wheel and
 //     spill queues: a worker locks a shard, runs each member (fire due
-//     timers, flush spill, drain a mailbox batch via tryPopBatch), and
-//     releases. Workers own shards round-robin (shard s is home to worker
+//     timers, flush spill, drain the mailbox's backlog in tryPopBatch
+//     chunks, at most one mailbox capacity per visit), and releases.
+//     Workers own shards round-robin (shard s is home to worker
 //     s % workers) and, with steal enabled, opportunistically try_lock
 //     foreign shards so an imbalanced or blocked shard cannot strand its
 //     ranks. A worker never holds two shard locks at once.
@@ -38,7 +39,14 @@
 //     any envelope/timer is enqueued and decremented only after its
 //     handler completes, so work a handler spawns is counted before its
 //     own count drops: pending == 0 is a stable quiescent state, which is
-//     exactly what drain() polls for.
+//     exactly what drain() polls for. The M:N executor batches both
+//     edges: a state broadcast is counted once, for all its copies,
+//     before the first copy is visible to any receiver, and a shard
+//     visit settles once, for every timer and handler it ran, after the
+//     last of them returned. Both only delay the decrement relative to
+//     per-envelope accounting, so pending never reads a false zero. A
+//     kStop settles at once (the stop protocol counts on it), and every
+//     fault path that discards an envelope still settles it singly.
 //
 // Fault injection (rt/faults.h) extends both rules to an unreliable
 // platform while keeping them true. With cfg.faults enabled:
@@ -108,9 +116,6 @@ struct RtExecutorConfig {
   /// Idle workers try_lock foreign shards. Off: shard s is touched only
   /// by worker s % workers, which serialises each shard's schedule.
   bool steal = true;
-  /// Max envelopes drained from one mailbox per shard visit; bounds how
-  /// long one rank can monopolise its shard's lock.
-  int drain_batch = 16;
 };
 
 struct RtConfig {
@@ -332,6 +337,9 @@ class RtWorld {
     std::int64_t delivered_state = 0;
     std::int64_t delivered_task = 0;
     std::int64_t timers_fired = 0;
+    std::int64_t state_posted = 0;
+    Bytes state_bytes = 0;
+    std::int64_t spill_enqueues = 0;
 
     // ---- lifecycle + published diagnostics -----------------------------
     std::atomic<int> life{static_cast<int>(RankLife::kAlive)};
@@ -378,6 +386,12 @@ class RtWorld {
   // RtTransport backends.
   void postState(Rank src, Rank dst, core::StateTag tag, Bytes size,
                  std::shared_ptr<const sim::Payload> payload);
+  /// One payload to every rank in `dsts`, in order: the pending-work
+  /// counter is raised once for all copies, then each copy takes the
+  /// same sendFromNode path as postState.
+  void postStateBroadcast(Rank src, const std::vector<Rank>& dsts,
+                          core::StateTag tag, Bytes size,
+                          const std::shared_ptr<const sim::Payload>& payload);
   void scheduleOnCallingNode(double delay, std::function<void()> fn);
 
   /// Enqueue from a node's owner: fault draws (when enabled), then direct
@@ -396,7 +410,8 @@ class RtWorld {
   bool tryRunShard(Shard& sh, std::vector<Envelope>& scratch, Pass& pass);
   void runShardLocked(Shard& sh, std::vector<Envelope>& scratch, Pass& pass)
       LOADEX_REQUIRES(sh.mu);
-  /// Run one member rank: timers, spill flush, one mailbox batch.
+  /// Run one member rank: timers, spill flush, then the mailbox backlog
+  /// (up to one mailbox capacity per visit).
   void processShardNode(Shard& sh, Node& n, std::vector<Envelope>& scratch,
                         Pass& pass) LOADEX_REQUIRES(sh.mu);
   /// Debug check that the calling thread owns `n`'s sender-side state:
@@ -454,12 +469,10 @@ class RtWorld {
   /// The conservation counter drain() polls (see file comment).
   std::atomic<std::int64_t> pending_{0};
 
-  // World-level posting counters (any thread).
-  std::atomic<std::int64_t> state_posted_{0};
-  std::atomic<std::int64_t> state_bytes_{0};
+  // World-level posting counters (any thread). The state-channel and
+  // spill counters live on Node: only a rank's owner writes them.
   std::atomic<std::int64_t> task_posted_{0};
   std::atomic<std::int64_t> timers_armed_{0};
-  std::atomic<std::int64_t> spill_enqueues_{0};
   std::atomic<std::int64_t> shard_visits_home_{0};
   std::atomic<std::int64_t> shard_visits_stolen_{0};
 

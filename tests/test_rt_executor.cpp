@@ -14,7 +14,13 @@
 //     flushes of one rank's spill legally run on different workers, and
 //     the (src,dst) stream must still never reorder. The ownership rule
 //     is single-OWNER (shard-lock holder), which RtWorld::assertSenderOwned
-//     enforces in debug builds.
+//     enforces in debug builds;
+//   * broadcast accounting — Transport::sendStateBroadcast through 2-slot
+//     mailboxes counts one state_posted per destination, keeps per-pair
+//     order through the spill path and balances the conservation ledger
+//     with and without message faults;
+//   * bounded visits — a rank whose handlers keep feeding its own mailbox
+//     yields its shard after one mailbox capacity of envelopes.
 //
 // The timer wheel's shard-confinement abort lives in test_sync.cpp (it
 // needs the LOADEX_SYNC_FORCE_DEBUG build), and the mailbox batch-drain
@@ -22,6 +28,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -225,6 +233,172 @@ TEST(RtExecutorShard, SpillHoldFifoSurvivesWorkerHandoff) {
     SCOPED_TRACE("dst=" + std::to_string(dst));
     expectFifo(tagsFrom(handlers[static_cast<std::size_t>(dst)], 0), kMsgs);
   }
+}
+
+// ---- broadcast accounting --------------------------------------------------
+
+struct SeqPayload : sim::Payload {
+  explicit SeqPayload(int s) : seq(s) {}
+  int seq;
+};
+
+/// Records (src, seq) arrival order; same ownership story as
+/// RecordingHandler.
+struct SeqHandler : sim::StateHandler {
+  std::vector<std::pair<Rank, int>> seen;
+  void onStateMessage(const sim::Message& m) override {
+    seen.emplace_back(m.src, m.as<SeqPayload>().seq);
+  }
+};
+
+struct BroadcastRun {
+  bool drained = false;
+  RtRunStats stats;
+  std::vector<SeqHandler> handlers;
+};
+
+constexpr Bytes kBroadcastSize = 24;
+
+/// Every rank broadcasts `k` sequence-numbered payloads to all others
+/// through Transport::sendStateBroadcast, from a closure posted to it.
+/// 2-slot mailboxes put nearly every copy through the spill path.
+BroadcastRun runBroadcasts(int procs, int k, const FaultPlan& faults) {
+  RtConfig rcfg;
+  rcfg.nprocs = procs;
+  rcfg.executor.workers = 2;
+  rcfg.executor.steal = true;
+  rcfg.mailbox.capacity = 2;
+  rcfg.faults = faults;
+  RtWorld world(rcfg);
+  std::vector<core::Transport*> tr = world.transports();
+
+  BroadcastRun run;
+  run.handlers.resize(static_cast<std::size_t>(procs));
+  for (Rank r = 0; r < procs; ++r)
+    world.attach(r, &run.handlers[static_cast<std::size_t>(r)]);
+  world.start();
+  for (Rank src = 0; src < procs; ++src)
+    world.post(src, [&tr, src, procs, k] {
+      std::vector<Rank> dsts;
+      for (Rank dst = 0; dst < procs; ++dst)
+        if (dst != src) dsts.push_back(dst);
+      for (int seq = 0; seq < k; ++seq)
+        tr[static_cast<std::size_t>(src)]->sendStateBroadcast(
+            dsts, core::StateTag::kUpdateAbsolute, kBroadcastSize,
+            std::make_shared<const SeqPayload>(seq));
+    });
+  run.drained = world.drain(60.0);
+  world.stop();
+  run.stats = world.runStats();
+  return run;
+}
+
+/// The seqs rank `dst` saw from rank `src`, in arrival order.
+std::vector<int> seqsFrom(const BroadcastRun& run, Rank dst, Rank src) {
+  std::vector<int> seqs;
+  for (const auto& [s, q] : run.handlers[static_cast<std::size_t>(dst)].seen)
+    if (s == src) seqs.push_back(q);
+  return seqs;
+}
+
+TEST(RtExecutorShard, BroadcastCountsEveryCopyOnceAndKeepsPairOrder) {
+  constexpr int kProcs = 16;
+  constexpr int kMsgs = 40;
+  const BroadcastRun run = runBroadcasts(kProcs, kMsgs, FaultPlan{});
+  ASSERT_TRUE(run.drained);
+
+  const RtRunStats& st = run.stats;
+  const std::int64_t copies = std::int64_t{kMsgs} * (kProcs - 1) * kProcs;
+  EXPECT_EQ(st.state_posted, copies) << "one state_posted per destination";
+  EXPECT_EQ(st.state_delivered, copies);
+  EXPECT_EQ(st.state_bytes, copies * kBroadcastSize);
+  EXPECT_GT(st.spill_enqueues, 0) << "2-slot mailboxes never spilled?";
+
+  for (Rank dst = 0; dst < kProcs; ++dst)
+    for (Rank src = 0; src < kProcs; ++src) {
+      if (dst == src) continue;
+      SCOPED_TRACE("src=" + std::to_string(src) +
+                   " dst=" + std::to_string(dst));
+      const std::vector<int> seqs = seqsFrom(run, dst, src);
+      ASSERT_EQ(static_cast<int>(seqs.size()), kMsgs);
+      for (std::size_t i = 1; i < seqs.size(); ++i)
+        ASSERT_LT(seqs[i - 1], seqs[i]) << "per-pair stream reordered";
+    }
+}
+
+TEST(RtExecutorShard, BroadcastLedgerBalancesUnderMessageFaults) {
+  constexpr int kProcs = 12;
+  constexpr int kMsgs = 40;
+  FaultPlan faults;
+  faults.messages.drop_prob = 0.05;
+  faults.messages.duplicate_prob = 0.1;
+  faults.messages.latency_spike_prob = 0.1;
+  faults.messages.latency_spike_s = 0.2e-3;
+  faults.messages.affects_state = true;
+  faults.messages.affects_app = false;
+  faults.messages.seed = 11;
+  const BroadcastRun run = runBroadcasts(kProcs, kMsgs, faults);
+  ASSERT_TRUE(run.drained);
+
+  const RtRunStats& st = run.stats;
+  EXPECT_EQ(st.state_posted, std::int64_t{kMsgs} * (kProcs - 1) * kProcs);
+  EXPECT_GT(st.state_duplicated, 0);
+  EXPECT_GT(st.state_dropped, 0);
+  EXPECT_GT(st.latency_spikes, 0);
+  EXPECT_EQ(st.state_posted + st.state_duplicated,
+            st.state_delivered + st.state_dropped);
+
+  // Duplicates ride right behind their original and drops leave gaps, so
+  // each pair's stream is non-decreasing rather than strictly increasing.
+  for (Rank dst = 0; dst < kProcs; ++dst)
+    for (Rank src = 0; src < kProcs; ++src) {
+      if (dst == src) continue;
+      SCOPED_TRACE("src=" + std::to_string(src) +
+                   " dst=" + std::to_string(dst));
+      const std::vector<int> seqs = seqsFrom(run, dst, src);
+      for (std::size_t i = 1; i < seqs.size(); ++i)
+        ASSERT_LE(seqs[i - 1], seqs[i]) << "per-pair stream reordered";
+    }
+}
+
+// ---- bounded shard visits --------------------------------------------------
+
+// One worker, one shard, two ranks. Rank 0 runs a chain of closures, each
+// posting the next to rank 0 itself, so its mailbox is never empty when
+// its visit checks; the chain's first step also posts a probe to rank 1.
+// The visit's capacity budget must hand the shard to rank 1 within one
+// mailbox's worth of chain steps — without it the probe would wait for
+// the whole chain.
+TEST(RtExecutorShard, SelfFeedingRankYieldsAfterOneMailboxCapacity) {
+  constexpr int kCapacity = 4;
+  constexpr int kChain = 100 * kCapacity;
+  RtConfig rcfg;
+  rcfg.nprocs = 2;
+  rcfg.executor.workers = 1;
+  rcfg.executor.shards = 1;
+  rcfg.mailbox.capacity = kCapacity;
+  RtWorld world(rcfg);
+  RecordingHandler h0, h1;
+  world.attach(0, &h0);
+  world.attach(1, &h1);
+  world.start();
+  ASSERT_EQ(world.shardCount(), 1);
+
+  // Both ranks run under the one shard lock, so plain ints suffice.
+  int steps = 0;
+  int steps_at_probe = -1;
+  std::function<void()> step = [&] {
+    if (steps == 0) world.postTask(0, 1, [&] { steps_at_probe = steps; });
+    if (++steps < kChain) world.postTask(0, 0, step);
+  };
+  world.post(0, step);
+  ASSERT_TRUE(world.drain(30.0));
+  world.stop();
+
+  EXPECT_EQ(steps, kChain);
+  EXPECT_GE(steps_at_probe, 1);
+  EXPECT_LE(steps_at_probe, kCapacity)
+      << "rank 0 held the shard past one mailbox capacity";
 }
 
 // ---- executor shape resolution ---------------------------------------------
