@@ -71,7 +71,7 @@ CrashOutcome runCrashChurn(core::MechanismKind kind, double drop,
   wcfg.network.faults.drop_prob = drop;
   wcfg.network.faults.affects_app = false;
   wcfg.process_faults.push_back(
-      {crash_rank, crash_at, sim::ProcessFaultEvent::Kind::kCrash});
+      {crash_rank, crash_at, ProcessFaultEvent::Kind::kCrash});
 
   core::MechanismConfig mcfg;
   mcfg.threshold = {0.5, 1e18};

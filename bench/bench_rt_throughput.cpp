@@ -2,9 +2,10 @@
 //
 // Two layers are measured:
 //
-//   mailbox — raw envelope throughput of one bounded MPSC mailbox, ring vs
-//     mutex implementation, 1 and 4 producer threads against the single
-//     consumer. This is the fabric every rt message rides on.
+//   mailbox — raw envelope throughput of one bounded MPSC mailbox (the
+//     Vyukov ring), 1 and 4 producer threads against the single consumer,
+//     which drains in tryPopBatch chunks the way the executor does. This
+//     is the fabric every rt message rides on.
 //
 //   end-to-end — a seeded selection script (harness::Script shape: load
 //     storm + master selections) replayed by rt::WorkloadDriver over a
@@ -58,11 +59,8 @@ struct MailboxRun {
   double msgsPerS() const { return static_cast<double>(msgs) / wall_s; }
 };
 
-MailboxRun runMailbox(bool lock_free_ring, int producers,
-                      std::uint64_t msgs_total) {
-  rt::MailboxConfig cfg;
-  cfg.lock_free_ring = lock_free_ring;
-  rt::Mailbox mb(cfg);
+MailboxRun runMailbox(int producers, std::uint64_t msgs_total) {
+  rt::Mailbox mb;
   const std::uint64_t per = msgs_total / static_cast<std::uint64_t>(producers);
 
   const rt::MonotonicClock clock;
@@ -79,11 +77,14 @@ MailboxRun runMailbox(bool lock_free_ring, int producers,
       }
     });
   }
+  // Drain like a worker visit: chunked batches, yield when empty.
   std::uint64_t got = 0;
-  rt::Envelope e;
+  std::vector<rt::Envelope> batch(16);
   const std::uint64_t want = per * static_cast<std::uint64_t>(producers);
   while (got < want) {
-    if (mb.pop(e, 1.0)) ++got;
+    const std::size_t k = mb.tryPopBatch(batch.data(), batch.size());
+    if (k == 0) std::this_thread::yield();
+    got += k;
   }
   for (auto& t : threads) t.join();
 
@@ -353,29 +354,26 @@ int main(int argc, char** argv) {
             << " envelopes through one MPSC mailbox\n\n";
   Table mt("Mailbox msgs/sec (single consumer)");
   mt.setHeader({"impl", "producers", "msgs/s", "full rejections"});
-  for (const bool ring : {true, false}) {
-    for (const int producers : {1, 4}) {
-      const MailboxRun r = runMailbox(ring, producers, msgs_total);
-      const char* impl = ring ? "ring" : "mutex";
-      mt.addRow({impl, std::to_string(producers), human(r.msgsPerS()),
-                 std::to_string(r.full_rejections)});
-      obs::BenchResultRecord rec;
-      rec.problem = "rt_mailbox";
-      rec.strategy = impl;
-      rec.nprocs = producers;  ///< producer threads, not ranks
-      rec.completed = r.msgs == msgs_total / producers * producers;
-      json.add(std::move(rec),
-               {{"host_msgs_per_s", r.msgsPerS()},
-                {"host_wall_s", r.wall_s},
-                {"host_msgs", static_cast<double>(r.msgs)},
-                {"host_full_rejections",
-                 static_cast<double>(r.full_rejections)}});
-    }
+  for (const int producers : {1, 4}) {
+    const MailboxRun r = runMailbox(producers, msgs_total);
+    mt.addRow({"ring", std::to_string(producers), human(r.msgsPerS()),
+               std::to_string(r.full_rejections)});
+    obs::BenchResultRecord rec;
+    rec.problem = "rt_mailbox";
+    rec.strategy = "ring";
+    rec.nprocs = producers;  ///< producer threads, not ranks
+    rec.completed = r.msgs == msgs_total / producers * producers;
+    json.add(std::move(rec),
+             {{"host_msgs_per_s", r.msgsPerS()},
+              {"host_wall_s", r.wall_s},
+              {"host_msgs", static_cast<double>(r.msgs)},
+              {"host_full_rejections",
+               static_cast<double>(r.full_rejections)}});
   }
   mt.print(std::cout);
 
   // ---- end-to-end layer ---------------------------------------------------
-  std::cout << "\nrt end-to-end — selection scripts on real rank threads\n\n";
+  std::cout << "\nrt end-to-end — selection scripts on the rt executor\n\n";
   Table et("End-to-end state msgs/sec and selection latency");
   et.setHeader({"N", "mechanism", "state msgs", "msgs/s", "sel lat mean",
                 "sel lat p95"});

@@ -12,8 +12,9 @@
 //                                             # is detected, restarts, and
 //                                             # rejoins via resync
 //
-// One thread per rank, each with a bounded MPSC mailbox and a timer wheel;
-// the same core::MechanismSet the simulator binds runs here unchanged over
+// Each rank has a bounded MPSC mailbox and a timer wheel, and a small pool
+// of worker threads runs the ranks (the M:N executor, DESIGN.md §15); the
+// same core::MechanismSet the simulator binds runs here unchanged over
 // rt transports. A seeded script (load storm + master selections) floods
 // the world, the drain protocol waits for quiescence, and the run prints
 // the conservation bookkeeping plus real selection latencies. With
@@ -91,7 +92,7 @@ int main(int argc, char** argv) {
   script.no_more_master = kNoRank;  // keep the demo's bookkeeping simple
   const harness::ScriptExpectations want = harness::expectationsOf(script);
 
-  std::cout << "rt demo: " << nprocs << " rank threads, "
+  std::cout << "rt demo: " << nprocs << " ranks, "
             << core::mechanismKindName(kind) << " mechanism, seed " << seed
             << "\n  script: " << script.loads.size() << " load changes, "
             << script.selections.size() << " master selections\n\n";
@@ -133,7 +134,7 @@ int main(int argc, char** argv) {
                            }());
 
   // The protocol auditor rides along exactly as it does over the
-  // simulator (serialised per hook for the concurrent rank threads).
+  // simulator (serialised per hook for the concurrent workers).
   // Under injected faults it keeps auditing, with the loss/crash
   // tolerances a lossy platform requires.
   core::AuditorConfig acfg;

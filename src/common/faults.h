@@ -4,8 +4,8 @@
 // repo scripts the imperfections a production deployment must survive:
 // message loss / duplication / latency spikes on the links, scripted
 // per-link blackout windows, and process-level crash / pause / restart
-// events. These plan types are pure data — the simulator (sim/faults.h +
-// sim/network.cpp) interprets them deterministically against virtual
+// events. These plan types are pure data — the simulator
+// (sim/network.cpp + sim/process.cpp) interprets them deterministically against virtual
 // time, and the real-threads runtime (rt/faults.h + rt/world.cpp)
 // interprets the same plan against wall-clock seconds since start().
 // Everything is seeded; with the default (inert) plan no random draw is

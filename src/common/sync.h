@@ -33,20 +33,20 @@
 //   kWorkloadTally   (10)  WorkloadDriver tallies — leaf from driver side
 //   kSvcLedger       (15)  svc request ledger; tight scopes only, never
 //                          held across a mechanism or transport call
-//   kLifecycle       (20)  RtWorld crash/restart/sweep transitions; sweeps
-//                          pop sealed mailboxes, so it ranks below them
-//   kMailboxPark     (30)  Mailbox consumer/producer parking; pop() holds
-//                          it across tryPop, which takes the deque lock
-//   kMailboxDeque    (40)  Mailbox mutex-mode deque — innermost rt lock
+//   kLifecycle       (20)  RtWorld crash/restart/sweep transitions
+//   kMailboxPark     (30)  Mailbox blocking-producer parking (push() from
+//                          driver threads) — innermost rt lock
 //   kAuditSerial     (50)  LockedAuditObserver hook serialisation
 //   kMetricsRegistry (60)  MetricsRegistry; gauge sampling emits trace
 //                          counters, so it ranks below the trace ring
 //   kTraceRing       (70)  TraceRecorder ring — leaf of the whole system
 //
-// Thread-confined state (per-node timer wheels, spill queues, the
-// supervisor's suspicion table) is not locked at all: it is marked with
-// LOADEX_THREAD_CONFINED and asserts, in debug builds, that every touch
-// comes from the thread it is bound to.
+// Owner-confined state is not locked at all. An rt node's timer wheel and
+// spill queues belong to whoever holds its shard lock (checked with
+// assertHeld); thread-confined state (the supervisor's suspicion table, a
+// net event loop's timer wheel) is marked with LOADEX_THREAD_CONFINED and
+// asserts, in debug builds, that every touch comes from the thread it is
+// bound to.
 #pragma once
 
 #include <atomic>
@@ -134,7 +134,6 @@ enum class LockRank : int {
   kSvcLedger = 15,
   kLifecycle = 20,
   kMailboxPark = 30,
-  kMailboxDeque = 40,
   kAuditSerial = 50,
   kMetricsRegistry = 60,
   kTraceRing = 70,
@@ -308,10 +307,10 @@ class CondVar {
   std::condition_variable_any cv_;
 };
 
-/// Debug marker for state owned by exactly one thread at a time (timer
-/// wheels, spill queues, the supervisor's suspicion table). Binds to the
-/// first asserting thread; an explicit rebind hands ownership over on
-/// audited transitions (rank restart spawning a fresh node thread).
+/// Debug marker for state owned by exactly one thread at a time (the
+/// supervisor's suspicion table, a net event loop's timer wheel). Binds
+/// to the first asserting thread; an explicit rebind hands ownership over
+/// when a loop starts on a thread other than the one that built it.
 /// Release builds carry no state and compile every check away.
 class ThreadConfined {
  public:

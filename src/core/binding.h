@@ -62,7 +62,7 @@ class MechanismSet {
 
   /// Over externally-owned transports, one per rank in rank order. This is
   /// the seam the real-threads runtime uses: rt::RtWorld owns one
-  /// RtTransport per node thread and binds the same mechanism code to them;
+  /// RtTransport per rank and binds the same mechanism code to them;
   /// the ProtocolAuditor and the obs layer attach exactly as they do over a
   /// sim::World. The transports must outlive the set.
   MechanismSet(const std::vector<Transport*>& transports, MechanismKind kind,

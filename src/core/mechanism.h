@@ -200,7 +200,7 @@ class Mechanism : public sim::StateHandler {
   virtual void noMoreMaster();
 
   // ---- failure detection / crash recovery (rt supervision layer) -------
-  // Called on this process's own execution context (its node thread in
+  // Called on this process's own execution context (inside its rank in
   // the rt world); the simulator never calls them, so with no supervisor
   // attached they are dead code and the clean path is untouched.
 

@@ -2,7 +2,7 @@
 // mechanism set running on real threads.
 //
 // The auditor's online hooks assume one caller at a time (true in the
-// simulator by construction). Under rt, every rank thread fires hooks
+// simulator by construction). Under rt, the workers fire hooks
 // concurrently, so the world interposes this wrapper: attach the auditor
 // normally — it sizes its per-pair state from the MechanismSet — then
 // point every mechanism at a LockedAuditObserver that forwards each hook
@@ -10,7 +10,7 @@
 // because a sender's onStateSend runs before its mailbox post and the
 // receiver's onStateDeliver runs after the pop, and the mailbox is FIFO
 // per producer. finish()/expectClean() need no lock: call them after
-// RtWorld::stop() has joined every node thread.
+// RtWorld::stop() has joined every worker.
 #pragma once
 
 #include "common/sync.h"

@@ -27,9 +27,9 @@ class MonotonicClock {
   /// thread-safe, never goes backwards.
   SimTime now() const;
 
-  /// Block the *calling* thread for about `seconds` (driver pacing and
-  /// test backoff only — node threads never sleep through this; they wait
-  /// on their mailbox instead).
+  /// Block the *calling* thread for about `seconds` (driver pacing, test
+  /// backoff and idle-worker backoff — never called from inside a rank's
+  /// handler).
   static void sleepFor(double seconds);
 
  private:

@@ -1,19 +1,18 @@
 // Fault injection and supervision plan for the real-threads runtime.
 //
-// Mirrors sim/faults.h on real threads: the shared message-fault plan
-// (common/faults.h) is applied at RtTransport send time, and the process
-// events become actual rank lifecycle transitions — a crashed rank's
-// mailbox is sealed and its timers/spill are torn down, a paused rank
-// idles without consuming envelopes, a restarted rank is revived plus a
-// rejoin resync so it re-enters with a coherent load view. Under the M:N
-// executor these are shard-local state flips (no thread starts or exits);
-// the legacy executor maps them onto its per-rank threads.
+// The simulator's fault plan (common/faults.h) on real threads: the
+// shared message-fault plan is applied at RtTransport send time, and the
+// process events become actual rank lifecycle transitions — a crashed
+// rank's mailbox is sealed and its timers/spill are torn down, a paused
+// rank idles without consuming envelopes, a restarted rank is revived
+// plus a rejoin resync so it re-enters with a coherent load view. These
+// are shard-local state flips: no thread starts or exits.
 //
 // Spill-hold FIFO ownership: a latency spike holds an envelope in the
 // *sender's* per-destination spill queue with a release time, so it can
 // never overtake later sends on the same (src,dst) pair. The queue's
 // correctness rule is single-OWNER, not single-thread: whoever owns the
-// rank (holds its shard lock / is its legacy thread) enqueues and flushes.
+// rank (holds its shard lock) enqueues and flushes.
 // Under work-stealing the flushing worker is routinely a different OS
 // thread from the one that enqueued — per-pair FIFO and the release-time
 // gate must hold across that handoff (RtWorld::assertSenderOwned is the

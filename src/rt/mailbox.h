@@ -1,35 +1,25 @@
-// Bounded MPSC mailbox: the channel between node threads.
+// Bounded MPSC mailbox: the channel into every rt node.
 //
-// Every rt node owns one mailbox; any thread may post to it, only the
-// owning node thread pops. Two interchangeable implementations sit behind
-// one interface (MailboxConfig::lock_free_ring picks at construction):
+// Every rt node owns one mailbox; any thread may post to it, and only the
+// node's current owner (the worker holding its shard lock) pops. It is a
+// Vyukov-style bounded ring of slots, each carrying its own sequence
+// number. Producers claim a slot with one CAS on the tail cursor and
+// publish with a release store of the slot sequence; the consumer pops
+// with plain loads plus one store. Per-producer FIFO holds because a
+// producer's later CAS claims a strictly later slot.
 //
-//   ring   — a Vyukov-style bounded ring of slots, each carrying its own
-//            sequence number. Producers claim a slot with one CAS on the
-//            tail cursor and publish with a release store of the slot
-//            sequence; the consumer pops with plain loads plus one store.
-//            Per-producer FIFO holds because a producer's later CAS claims
-//            a strictly later slot. This is the fast path the throughput
-//            bench measures.
-//   mutex  — a deque under a mutex with condvars, the obviously-correct
-//            baseline the differential and stress tests cross-check the
-//            ring against.
-//
-// Blocking: pop() always takes a timeout (the node thread must wake to
-// fire timers and flush spill queues), and push() — the *blocking* variant
-// — is reserved for external driver threads. Node threads must only ever
-// tryPush (RtWorld keeps per-destination spill queues for the full case),
-// so no cycle of mutually-sending full nodes can deadlock: a node never
-// blocks on another node's mailbox. Consumer wakeups are an optimisation,
-// never load-bearing — waits are bounded slices, so a lost notify costs
-// latency, not progress.
+// The consumer never blocks: workers poll with backoff (tryPop /
+// tryPopBatch). A rank's owner must only ever tryPush (RtWorld
+// keeps per-destination spill queues for the full case), so no cycle of
+// mutually-sending full nodes can deadlock. Only external driver threads
+// may use the blocking push(), which parks on a condvar in bounded
+// slices: a lost not-full notify costs one slice of latency, never
+// progress.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -40,8 +30,8 @@
 namespace loadex::rt {
 
 /// One unit of mailbox traffic. kState carries a mechanism message for
-/// StateHandler::onStateMessage; kTask runs a closure on the node thread
-/// (application work, driver-injected script ops); kStop ends the loop.
+/// StateHandler::onStateMessage; kTask runs a closure as the node
+/// (application work, driver-injected script ops); kStop retires the node.
 struct Envelope {
   enum class Kind : std::uint8_t { kState, kTask, kStop };
   Kind kind = Kind::kTask;
@@ -51,7 +41,6 @@ struct Envelope {
 
 struct MailboxConfig {
   std::size_t capacity = 1 << 12;  ///< rounded up to a power of two
-  bool lock_free_ring = true;      ///< false: mutex+condvar baseline
 };
 
 /// Counters a mailbox accumulates over its lifetime (relaxed atomics;
@@ -69,33 +58,26 @@ class Mailbox {
     std::size_t cap = 1;
     while (cap < cfg_.capacity) cap <<= 1;
     cfg_.capacity = cap;
-    if (cfg_.lock_free_ring) {
-      cells_ = std::vector<Cell>(cap);
-      for (std::size_t i = 0; i < cap; ++i)
-        cells_[i].seq.store(i, std::memory_order_relaxed);
-    }
+    cells_ = std::vector<Cell>(cap);
+    for (std::size_t i = 0; i < cap; ++i)
+      cells_[i].seq.store(i, std::memory_order_relaxed);
   }
 
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
   std::size_t capacity() const { return cfg_.capacity; }
-  bool lockFreeRing() const { return cfg_.lock_free_ring; }
 
-  /// Non-blocking post from any thread; false if the mailbox is full.
-  bool tryPush(Envelope&& e) LOADEX_EXCLUDES(mu_, deque_mu_) {
-    const bool ok = cfg_.lock_free_ring ? ringPush(e) : lockedPush(e);
-    if (ok) {
-      pushes_.fetch_add(1, std::memory_order_relaxed);
-      wakeConsumer();
-    } else {
-      full_rejections_.fetch_add(1, std::memory_order_relaxed);
-    }
+  /// Non-blocking post from any thread; false if the mailbox is full
+  /// (the argument is then left intact).
+  bool tryPush(Envelope&& e) LOADEX_EXCLUDES(mu_) {
+    const bool ok = ringPush(e);
+    (ok ? pushes_ : full_rejections_).fetch_add(1, std::memory_order_relaxed);
     return ok;
   }
 
-  /// Blocking post (driver threads only — never call from a node thread).
-  void push(Envelope&& e) LOADEX_EXCLUDES(mu_, deque_mu_) {
+  /// Blocking post (driver threads only — never call from inside a rank).
+  void push(Envelope&& e) LOADEX_EXCLUDES(mu_) {
     if (tryPush(std::move(e))) return;
     blocking_waits_.fetch_add(1, std::memory_order_relaxed);
     sync::MutexLock lk(mu_);
@@ -109,36 +91,9 @@ class Mailbox {
     }
   }
 
-  /// Pop one envelope, waiting up to `timeout_s`. Only the owning node
-  /// thread may call this. Returns false on timeout.
-  bool pop(Envelope& out, double timeout_s) LOADEX_EXCLUDES(mu_) {
-    if (tryPop(out)) return true;
-    if (timeout_s <= 0.0) return false;
-    sync::MutexLock lk(mu_);
-    consumer_waiting_.store(true, std::memory_order_seq_cst);
-    // Re-check after raising the flag: a producer that pushed before
-    // seeing the flag is caught here; one that pushed after will notify.
-    if (tryPop(out)) {
-      consumer_waiting_.store(false, std::memory_order_relaxed);
-      return true;
-    }
-    double remaining = timeout_s;
-    while (remaining > 0.0) {
-      const double slice = std::min(remaining, kWaitSliceS);
-      cv_not_empty_.waitFor(mu_, slice);
-      if (tryPop(out)) {
-        consumer_waiting_.store(false, std::memory_order_relaxed);
-        return true;
-      }
-      remaining -= slice;
-    }
-    consumer_waiting_.store(false, std::memory_order_relaxed);
-    return false;
-  }
-
-  /// Non-blocking pop (owning node thread only).
-  bool tryPop(Envelope& out) LOADEX_EXCLUDES(deque_mu_) {
-    const bool ok = cfg_.lock_free_ring ? ringPop(out) : lockedPop(out);
+  /// Non-blocking pop (sole consumer only).
+  bool tryPop(Envelope& out) {
+    const bool ok = ringPop(out);
     if (ok) {
       pops_.fetch_add(1, std::memory_order_relaxed);
       wakeProducers();
@@ -148,13 +103,11 @@ class Mailbox {
 
   /// Non-blocking batched pop: drain up to `max` envelopes into `out` in
   /// FIFO order, returning how many were taken (sole-consumer only, same
-  /// contract as tryPop). The M:N executor drains shards with this so the
-  /// per-pop producer-wake and stats overhead is paid once per batch; in
-  /// mutex mode the whole batch comes out under one deque lock.
-  std::size_t tryPopBatch(Envelope* out, std::size_t max)
-      LOADEX_EXCLUDES(deque_mu_) {
-    const std::size_t k = cfg_.lock_free_ring ? ringPopBatch(out, max)
-                                              : lockedPopBatch(out, max);
+  /// contract as tryPop). The executor drains shards with this so the
+  /// per-pop producer-wake and stats overhead is paid once per batch.
+  std::size_t tryPopBatch(Envelope* out, std::size_t max) {
+    std::size_t k = 0;
+    while (k < max && ringPop(out[k])) ++k;
     if (k > 0) {
       pops_.fetch_add(k, std::memory_order_relaxed);
       wakeProducers();
@@ -228,47 +181,9 @@ class Mailbox {
     return true;
   }
 
-  std::size_t ringPopBatch(Envelope* out, std::size_t max) {
-    std::size_t k = 0;
-    while (k < max && ringPop(out[k])) ++k;
-    return k;
-  }
-
-  bool lockedPush(Envelope& e) LOADEX_EXCLUDES(deque_mu_) {
-    const sync::MutexLock lk(deque_mu_);
-    if (deque_.size() >= cfg_.capacity) return false;
-    deque_.push_back(std::move(e));
-    return true;
-  }
-
-  bool lockedPop(Envelope& out) LOADEX_EXCLUDES(deque_mu_) {
-    const sync::MutexLock lk(deque_mu_);
-    if (deque_.empty()) return false;
-    out = std::move(deque_.front());
-    deque_.pop_front();
-    return true;
-  }
-
-  std::size_t lockedPopBatch(Envelope* out, std::size_t max)
-      LOADEX_EXCLUDES(deque_mu_) {
-    const sync::MutexLock lk(deque_mu_);
-    std::size_t k = 0;
-    while (k < max && !deque_.empty()) {
-      out[k++] = std::move(deque_.front());
-      deque_.pop_front();
-    }
-    return k;
-  }
-
-  // Both wake helpers notify without taking mu_ (legal, and avoids a
-  // self-deadlock when tryPop runs under pop()'s lock). The narrow race —
-  // peer checked the condition but has not started waiting yet — only
-  // delays it by one bounded wait slice.
-  void wakeConsumer() {
-    if (consumer_waiting_.load(std::memory_order_seq_cst))
-      cv_not_empty_.notifyOne();
-  }
-
+  // Notifies without taking mu_; the narrow race (a producer checked the
+  // mailbox but has not started waiting yet) only delays it by one
+  // bounded wait slice.
   void wakeProducers() {
     if (blocking_waits_.load(std::memory_order_relaxed) >
         blocking_wakes_.load(std::memory_order_relaxed)) {
@@ -280,23 +195,15 @@ class Mailbox {
 
   MailboxConfig cfg_;
 
-  // Ring mode state.
   std::vector<Cell> cells_;
   alignas(64) std::atomic<std::size_t> tail_{0};
   alignas(64) std::size_t head_ = 0;
 
-  // Mutex-mode state. Innermost rt lock: pop() holds the park mutex while
-  // tryPop descends here, hence the higher rank.
-  sync::Mutex deque_mu_{sync::LockRank::kMailboxDeque};
-  std::deque<Envelope> deque_ LOADEX_GUARDED_BY(deque_mu_);
-
-  // Consumer/producer parking (shared by both modes). mu_ guards no data —
-  // it only carries the condvar waits; the flags stay atomic because the
-  // wake helpers read them without the lock.
+  // Blocking-producer parking. mu_ guards no data — it only carries the
+  // condvar waits; the wait/wake counters stay atomic because
+  // wakeProducers reads them without the lock.
   sync::Mutex mu_{sync::LockRank::kMailboxPark};
-  sync::CondVar cv_not_empty_;
   sync::CondVar cv_not_full_;
-  std::atomic<bool> consumer_waiting_{false};
 
   std::atomic<std::uint64_t> pushes_{0};
   std::atomic<std::uint64_t> pops_{0};

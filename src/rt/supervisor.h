@@ -6,16 +6,15 @@
 //
 //   schedule execution — the plan's crash / pause / resume / restart
 //     events fire at their wall-clock offsets, driving the RtWorld
-//     lifecycle hooks. The hooks are executor-aware: under M:N they are
-//     shard-local state flips (crashRank tears the victim down under its
-//     shard lock, restartRank revives it for the next worker pass); under
-//     the legacy executor they join/spawn the rank's thread. restartRank
-//     is followed by the rejoin resync below either way;
+//     lifecycle hooks. The hooks are shard-local state flips (crashRank
+//     tears the victim down under its shard lock, restartRank revives it
+//     for the next worker pass); restartRank is followed by the rejoin
+//     resync below;
 //   sealed-mailbox sweeps — a sender racing a crash can land an envelope
 //     after the seal; periodic sweeps keep the pending-work conservation
 //     honest so drain() still quiesces;
 //   failure detection — every rank publishes a heartbeat whenever its
-//     owner runs it (per legacy loop turn / per M:N shard visit); the
+//     owner runs it (once per shard visit); the
 //     detector polls the shard tables, classifies heartbeat age into
 //     alive / suspect / dead and broadcasts transitions to the surviving
 //     mechanisms (notePeerSuspect / notePeerDead / notePeerAlive), which

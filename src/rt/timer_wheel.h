@@ -1,24 +1,24 @@
 // Per-rank hashed timer wheel for RtTransport::schedule.
 //
-// Single-owner by design: a node's wheel is only ever touched by whoever
-// currently owns the node (mechanisms arm timers from inside message
-// handlers, which the owner runs), so the wheel needs no locks of its own.
-// Who the owner is depends on the executor:
+// Single-owner by design: a wheel is only ever touched by whoever
+// currently owns it (mechanisms arm timers from inside message handlers,
+// which the owner runs), so the wheel needs no locks of its own. Two
+// ownership modes:
 //
-//   thread-confined — under the legacy thread-per-rank executor the owner
-//     is the node's OS thread; the LOADEX_THREAD_CONFINED marker turns a
-//     cross-thread touch into a debug-build abort. The node loop rebinds
-//     on entry (bindToCurrentThread) so a restarted rank's fresh thread
-//     takes ownership cleanly.
-//   shard-confined — under the M:N executor ownership is the shard mutex
+//   thread-confined (default) — the owner is one OS thread; the
+//     LOADEX_THREAD_CONFINED marker turns a cross-thread touch into a
+//     debug-build abort. net::NetWorld's single-threaded event loop binds
+//     its wheel this way (bindToCurrentThread).
+//   shard-confined — an rt node's wheel belongs to its shard mutex
 //     (sync::LockRank::kShard): any worker may run the node, but only
-//     while holding its shard's lock. bindToShard switches every
-//     debug assert from "am I the bound thread?" to "do I hold the shard
-//     lock?" — the runtime backstop of the PR 7 LockRank hierarchy.
+//     while holding its shard's lock. bindToShard switches every debug
+//     assert from "am I the bound thread?" to "do I hold the shard
+//     lock?" — the runtime backstop of the LockRank hierarchy.
 //
-// The owner interleaves fireDue() with mailbox pops and uses
-// nextDeadline() to bound its idle wait so a due timer is never slept
-// through.
+// The owner interleaves fireDue() with its other work (mailbox drains,
+// socket reads). An rt worker caps its idle backoff while any member
+// wheel has timers pending; the net event loop bounds its epoll wait by
+// nextDeadline(), so a due timer is never slept through.
 //
 // Deadlines hash into a fixed ring of slots (deadline / slot_width mod
 // nslots); a slot holds every timer of every future "lap", so fireDue
@@ -50,12 +50,12 @@ class TimerWheel {
   }
 
   /// Take (or hand over) ownership of the wheel for the calling thread.
-  /// The legacy node loop calls this on entry, which is what lets
-  /// restartRank move a rank's wheel onto the replacement thread.
+  /// An event loop calls this on entry, so the wheel follows the thread
+  /// that runs the loop rather than the one that built it.
   void bindToCurrentThread() { confined_.bindToCurrentThread(); }
 
   /// Switch ownership from "one bound thread" to "whoever holds `mu`".
-  /// The M:N executor binds every member rank's wheel to its shard
+  /// The rt executor binds every member rank's wheel to its shard
   /// mutex at start(); from then on each wheel call asserts the shard
   /// lock is held by the calling thread instead of checking thread
   /// identity, so work-stealing workers pass and lockless touches abort.
@@ -105,7 +105,7 @@ class TimerWheel {
   }
 
   /// Drop every armed timer without firing it (crash teardown: the
-  /// owning thread is about to exit). Returns how many were cancelled so
+  /// owner is retiring the node). Returns how many were cancelled so
   /// the caller can settle the pending-work accounting.
   std::size_t cancelAll() {
     assertOwned();
@@ -133,7 +133,7 @@ class TimerWheel {
   }
 
   /// Debug-build ownership check: shard lock held if shard-bound,
-  /// otherwise thread confinement (legacy executor).
+  /// otherwise thread confinement.
   void assertOwned() const {
     if (shard_mu_ != nullptr) {
       shard_mu_->assertHeld();

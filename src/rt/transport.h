@@ -8,12 +8,10 @@
 // simulated time runs here on real time with no changes.
 //
 // Both calls must come from the node's current *owner* — the context the
-// rank's handlers run in. Under the legacy executor that is the rank's
-// dedicated thread; under the M:N executor it is whichever worker holds
-// the rank's shard lock (a different OS thread from turn to turn once
-// work-stealing is on). Mechanisms cannot tell the difference: they only
-// ever send and schedule from inside their own handlers, which is by
-// construction the owner.
+// rank's handlers run in: whichever worker holds the rank's shard lock (a
+// different OS thread from visit to visit once work-stealing is on).
+// Mechanisms cannot tell the difference: they only ever send and schedule
+// from inside their own handlers, which is by construction the owner.
 #pragma once
 
 #include <functional>

@@ -7,12 +7,11 @@
 // onto the owning rank: load changes as plain closures, selections
 // deferred while a live snapshot blocks the master, delegated work as a
 // task envelope to the chosen slave. Which OS thread runs an op is the
-// executor's business (a dedicated rank thread under legacy, any worker
-// holding the rank's shard lock under M:N) — the driver only ever names
-// ranks. The scheduling policy is the shared harness::leastLoadedSlave,
-// so a sim replay of the same script commits the same number of
-// selections and injects the same total load — the invariants
-// tests/test_rt_differential.cpp checks.
+// executor's business (any worker holding the rank's shard lock) — the
+// driver only ever names ranks. The scheduling policy is the shared
+// harness::leastLoadedSlave, so a sim replay of the same script commits
+// the same number of selections and injects the same total load — the
+// invariants tests/test_rt_differential.cpp checks.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +39,7 @@ class WorkloadDriver {
       : world_(world), mechs_(mechs) {}
 
   /// Replay the script and drain. Call between world.start() and
-  /// world.stop(), from a driver (non-node) thread.
+  /// world.stop(), from a driver thread (never from inside a rank).
   WorkloadResult run(const harness::Script& script, double time_scale = 0.0,
                      double drain_timeout_s = 30.0);
 

@@ -1,7 +1,6 @@
 #include "rt/world.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/expect.h"
@@ -79,40 +78,33 @@ void RtWorld::start() {
   started_ = true;
   const SimTime t0 = clock_.now();
   for (auto& n : nodes_) n->heartbeat.store(t0, std::memory_order_relaxed);
-  if (cfg_.executor.legacy_executor) {
-    for (auto& n : nodes_)
-      n->thread = std::thread(&RtWorld::nodeLoop, this, std::ref(*n));
-  } else {
-    // Resolve the pool shape: enough shards that workers rarely contend,
-    // never more than ranks (an empty shard is pure overhead), and never
-    // more workers than shards (the surplus could not own anything).
-    const auto hw = static_cast<int>(std::thread::hardware_concurrency());
-    int workers = cfg_.executor.workers > 0
-                      ? cfg_.executor.workers
-                      : std::max(1, std::min(cfg_.nprocs, hw > 0 ? hw : 4));
-    int shards = cfg_.executor.shards > 0 ? cfg_.executor.shards
-                                          : 2 * workers;
-    shards = std::max(1, std::min(shards, cfg_.nprocs));
-    workers = std::max(1, std::min(workers, shards));
-    n_workers_ = workers;
-    n_shards_ = shards;
-    shards_.reserve(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s)
-      shards_.push_back(std::make_unique<Shard>());
-    for (auto& n : nodes_) {
-      Shard& sh = *shards_[static_cast<std::size_t>(n->rank) %
-                           static_cast<std::size_t>(shards)];
-      {
-        const sync::MutexLock lk(sh.mu);
-        sh.members.push_back(n.get());
-      }
-      n->shard = &sh;
-      n->wheel.bindToShard(&sh.mu);
+  // Resolve the pool shape: enough shards that workers rarely contend,
+  // never more than ranks (an empty shard is pure overhead), and never
+  // more workers than shards (the surplus could not own anything).
+  const auto hw = static_cast<int>(std::thread::hardware_concurrency());
+  int workers = cfg_.executor.workers > 0
+                    ? cfg_.executor.workers
+                    : std::max(1, std::min(cfg_.nprocs, hw > 0 ? hw : 4));
+  int shards = cfg_.executor.shards > 0 ? cfg_.executor.shards : 2 * workers;
+  shards = std::max(1, std::min(shards, cfg_.nprocs));
+  workers = std::max(1, std::min(workers, shards));
+  n_workers_ = workers;
+  n_shards_ = shards;
+  shards_.reserve(static_cast<std::size_t>(shards));
+  for (int s = 0; s < shards; ++s) shards_.push_back(std::make_unique<Shard>());
+  for (auto& n : nodes_) {
+    Shard& sh = *shards_[static_cast<std::size_t>(n->rank) %
+                         static_cast<std::size_t>(shards)];
+    {
+      const sync::MutexLock lk(sh.mu);
+      sh.members.push_back(n.get());
     }
-    workers_.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w)
-      workers_.emplace_back(&RtWorld::workerLoop, this, w);
+    n->shard = &sh;
+    n->wheel.bindToShard(&sh.mu);
   }
+  workers_.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w)
+    workers_.emplace_back(&RtWorld::workerLoop, this, w);
   if (cfg_.faults.needsSupervisor()) {
     supervisor_ = std::make_unique<Supervisor>(*this, mechs_);
     supervisor_->start();
@@ -125,15 +117,13 @@ void RtWorld::stop() {
   // Join the supervisor first: once it is gone the lifecycle states are
   // frozen, so the per-node checks below cannot race a scripted crash.
   if (supervisor_) supervisor_->stop();
-  if (!cfg_.executor.legacy_executor) {
-    // Publish the countdown before raising stopping_, or a worker could
-    // observe (stopping && remaining == 0) and exit with kStops (and the
-    // envelopes ahead of them) still queued.
-    std::int64_t count = 0;
-    for (auto& n : nodes_)
-      if (!(fault_hooks_ && lifeOf(*n) == RankLife::kCrashed)) ++count;
-    stops_remaining_.store(count, std::memory_order_release);
-  }
+  // Publish the countdown before raising stopping_, or a worker could
+  // observe (stopping && remaining == 0) and exit with kStops (and the
+  // envelopes ahead of them) still queued.
+  std::int64_t count = 0;
+  for (auto& n : nodes_)
+    if (!(fault_hooks_ && lifeOf(*n) == RankLife::kCrashed)) ++count;
+  stops_remaining_.store(count, std::memory_order_release);
   stopping_.store(true, std::memory_order_release);
   for (auto& n : nodes_) {
     if (fault_hooks_ && lifeOf(*n) == RankLife::kCrashed)
@@ -143,13 +133,8 @@ void RtWorld::stop() {
     e.kind = Envelope::Kind::kStop;
     n->mailbox.push(std::move(e));
   }
-  if (cfg_.executor.legacy_executor) {
-    for (auto& n : nodes_)
-      if (n->thread.joinable()) n->thread.join();
-  } else {
-    for (auto& w : workers_)
-      if (w.joinable()) w.join();
-  }
+  for (auto& w : workers_)
+    if (w.joinable()) w.join();
   // Last sealed-mailbox sweep: racing senders may have landed envelopes
   // after the supervisor's final sweep.
   if (fault_hooks_) sweepCrashedMailboxes();
@@ -203,7 +188,7 @@ const RtWorld::Node& RtWorld::node(Rank r) const {
 thread_local RtWorld::Node* RtWorld::t_current_node = nullptr;
 
 RtWorld::Node& RtWorld::callingNode() {
-  LOADEX_EXPECT(t_current_node != nullptr, "not on a node thread");
+  LOADEX_EXPECT(t_current_node != nullptr, "not running inside a rank");
   return *t_current_node;
 }
 
@@ -211,11 +196,11 @@ RtWorld::Node& RtWorld::callingNode() {
 
 void RtWorld::postState(Rank src, Rank dst, core::StateTag tag, Bytes size,
                         std::shared_ptr<const sim::Payload> payload) {
-  // Mechanisms send only from their own node thread; route through that
+  // Mechanisms send only from inside their own rank; route through that
   // node's spill queue so a full peer mailbox never blocks the sender.
   Node& sender = node(src);
   LOADEX_EXPECT(&callingNode() == &sender,
-                "mechanism API driven off its node thread (post a closure "
+                "mechanism API driven from outside its rank (post a closure "
                 "with RtWorld::post instead)");
   ++sender.state_posted;
   sender.state_bytes += size;
@@ -232,7 +217,7 @@ void RtWorld::postStateBroadcast(
     const std::shared_ptr<const sim::Payload>& payload) {
   Node& sender = node(src);
   LOADEX_EXPECT(&callingNode() == &sender,
-                "mechanism API driven off its node thread (post a closure "
+                "mechanism API driven from outside its rank (post a closure "
                 "with RtWorld::post instead)");
   const auto copies = static_cast<std::int64_t>(dsts.size());
   sender.state_posted += copies;
@@ -311,7 +296,7 @@ void RtWorld::postTask(Rank from, Rank to, std::function<void()> fn) {
   pending_.fetch_add(1, std::memory_order_relaxed);
   Node& src = node(from);
   LOADEX_EXPECT(&callingNode() == &src,
-                "postTask must run on the `from` node's thread");
+                "postTask must run inside the `from` rank");
   sendFromNode(src, to, std::move(e));
 }
 
@@ -375,13 +360,9 @@ void RtWorld::sendFromNodeFaulty(Node& src, Rank dst, Envelope&& e) {
 }
 
 void RtWorld::assertSenderOwned(const Node& n) const {
-  if (n.shard != nullptr) {
-    // M:N: ownership is the shard lock, not thread identity — the worker
-    // flushing a rank's spill is routinely not the one that filled it.
-    n.shard->mu.assertHeld();
-  } else {
-    LOADEX_ASSERT_CONFINED(n.confined);
-  }
+  // Ownership is the shard lock, not thread identity: the worker flushing
+  // a rank's spill is routinely not the one that filled it.
+  n.shard->mu.assertHeld();
 }
 
 void RtWorld::enqueueFromNode(Node& src, Rank dst, Envelope&& e,
@@ -458,35 +439,21 @@ RankLife RtWorld::rankLife(Rank r) const { return lifeOf(node(r)); }
 
 void RtWorld::crashRank(Rank r) {
   LOADEX_EXPECT(fault_hooks_, "crashRank needs an enabled fault plan");
+  LOADEX_EXPECT(started_, "crashRank needs a started world");
   LOADEX_EXPECT(t_current_node == nullptr,
                 "lifecycle transitions must come from a driver/supervisor "
-                "thread, not a node thread");
+                "thread, not from inside a rank");
   Node& n = node(r);
-  if (n.shard != nullptr) {
-    // M:N: a crash is a shard-local state transition. Taking the shard
-    // lock (rank kShard, below kLifecycle) makes this thread the unique
-    // owner of the victim's wheel, spill and mailbox consumption — no
-    // thread exits; workers simply skip the rank from the seal on.
-    const sync::MutexLock shlk(n.shard->mu);
-    const sync::MutexLock lk(lifecycle_mu_);
-    if (lifeOf(n) == RankLife::kCrashed) return;
-    n.life.store(static_cast<int>(RankLife::kCrashed),
-                 std::memory_order_release);
-    crashTeardown(n);
-    crashes_.fetch_add(1, std::memory_order_relaxed);
-    sweepMailboxLocked(n);
-    return;
-  }
+  // A crash is a shard-local state transition. Taking the shard lock
+  // (rank kShard, below kLifecycle) makes this thread the unique owner of
+  // the victim's wheel, spill and mailbox consumption — no thread exits;
+  // workers simply skip the rank from the seal on.
+  const sync::MutexLock shlk(n.shard->mu);
   const sync::MutexLock lk(lifecycle_mu_);
   if (lifeOf(n) == RankLife::kCrashed) return;
-  // Seal first: every sender's next life check starts dropping. Then ask
-  // the thread to exit and join it — the join orders its teardown
-  // (cancelled timers, discarded spill) before the sweep below, and
-  // makes this thread the mailbox's unique consumer.
   n.life.store(static_cast<int>(RankLife::kCrashed),
                std::memory_order_release);
-  n.crash_requested.store(true, std::memory_order_release);
-  if (n.thread.joinable()) n.thread.join();
+  crashTeardown(n);
   crashes_.fetch_add(1, std::memory_order_relaxed);
   sweepMailboxLocked(n);
 }
@@ -514,31 +481,19 @@ void RtWorld::resumeRank(Rank r) {
 
 void RtWorld::restartRank(Rank r) {
   LOADEX_EXPECT(fault_hooks_, "restartRank needs an enabled fault plan");
+  LOADEX_EXPECT(started_, "restartRank needs a started world");
   LOADEX_EXPECT(t_current_node == nullptr,
                 "lifecycle transitions must come from a driver/supervisor "
-                "thread, not a node thread");
+                "thread, not from inside a rank");
   Node& n = node(r);
-  if (n.shard != nullptr) {
-    // M:N: revival is a life flip under the shard lock — the next worker
-    // pass picks the rank up again. No thread to spawn.
-    const sync::MutexLock shlk(n.shard->mu);
-    const sync::MutexLock lk(lifecycle_mu_);
-    if (lifeOf(n) != RankLife::kCrashed) return;
-    sweepMailboxLocked(n);  // envelopes landed while sealed die
-    n.heartbeat.store(clock_.now(), std::memory_order_relaxed);
-    n.life.store(static_cast<int>(RankLife::kAlive),
-                 std::memory_order_release);
-    restarts_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
+  // Revival is a life flip under the shard lock — the next worker pass
+  // picks the rank up again. No thread to spawn.
+  const sync::MutexLock shlk(n.shard->mu);
   const sync::MutexLock lk(lifecycle_mu_);
   if (lifeOf(n) != RankLife::kCrashed) return;
   sweepMailboxLocked(n);  // envelopes landed while sealed die with the crash
-  n.crash_requested.store(false, std::memory_order_relaxed);
   n.heartbeat.store(clock_.now(), std::memory_order_relaxed);
-  n.life.store(static_cast<int>(RankLife::kAlive),
-               std::memory_order_release);
-  n.thread = std::thread(&RtWorld::nodeLoop, this, std::ref(n));
+  n.life.store(static_cast<int>(RankLife::kAlive), std::memory_order_release);
   restarts_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -546,26 +501,22 @@ void RtWorld::sweepCrashedMailboxes() {
   if (!fault_hooks_) return;
   LOADEX_EXPECT(t_current_node == nullptr,
                 "sweeps must come from a driver/supervisor thread");
-  if (!shards_.empty()) {
-    // M:N: sweeping pops a sealed mailbox, so the sweeper must hold the
-    // victim's shard lock to be its unique consumer (workers check life
-    // under the same lock). Shard-by-shard keeps the stall local.
-    for (auto& shp : shards_) {
-      Shard& sh = *shp;
-      const sync::MutexLock shlk(sh.mu);
-      const sync::MutexLock lk(lifecycle_mu_);
-      for (Node* np : sh.members)
-        if (lifeOf(*np) == RankLife::kCrashed) sweepMailboxLocked(*np);
-    }
-    return;
+  // Sweeping pops a sealed mailbox, so the sweeper must hold the victim's
+  // shard lock to be its unique consumer (workers check life under the
+  // same lock). Shard-by-shard keeps the stall local; before start()
+  // there are no shards and nothing to sweep.
+  for (auto& shp : shards_) {
+    Shard& sh = *shp;
+    const sync::MutexLock shlk(sh.mu);
+    const sync::MutexLock lk(lifecycle_mu_);
+    for (Node* np : sh.members)
+      if (lifeOf(*np) == RankLife::kCrashed) sweepMailboxLocked(*np);
   }
-  const sync::MutexLock lk(lifecycle_mu_);
-  for (auto& n : nodes_)
-    if (lifeOf(*n) == RankLife::kCrashed) sweepMailboxLocked(*n);
 }
 
 void RtWorld::sweepMailboxLocked(Node& n) {
   LOADEX_ASSERT_HELD(lifecycle_mu_);
+  n.shard->mu.assertHeld();  // the sweeper must be the unique consumer
   Envelope e;
   while (n.mailbox.tryPop(e)) {
     if (e.kind == Envelope::Kind::kStop) {
@@ -596,73 +547,6 @@ void RtWorld::crashTeardown(Node& n) {
   n.spill_size = 0;
   n.pub_wheel_pending.store(0, std::memory_order_relaxed);
   n.pub_spill.store(0, std::memory_order_relaxed);
-}
-
-// ---- legacy executor: thread-per-rank node loop ---------------------------
-
-void RtWorld::nodeLoop(Node& n) {
-  t_current_node = &n;
-  // Claim the node's thread-confined state (spill queues, timer wheel):
-  // after a restart this hands ownership from the dead incarnation's
-  // thread to this one.
-  n.confined.bindToCurrentThread();
-  n.wheel.bindToCurrentThread();
-  for (;;) {
-    if (fault_hooks_) {
-      if (n.crash_requested.load(std::memory_order_acquire)) {
-        crashTeardown(n);
-        return;
-      }
-      if (lifeOf(n) == RankLife::kPaused) {
-        // Parked: consume nothing, publish nothing — the failure
-        // detector watches the heartbeat age out.
-        while (lifeOf(n) == RankLife::kPaused &&
-               !stopping_.load(std::memory_order_acquire) &&
-               !n.crash_requested.load(std::memory_order_acquire))
-          MonotonicClock::sleepFor(100e-6);
-        continue;
-      }
-      n.heartbeat.store(clock_.now(), std::memory_order_relaxed);
-    }
-    n.pub_wheel_pending.store(n.wheel.pending(), std::memory_order_relaxed);
-    n.pub_spill.store(n.spill_size, std::memory_order_relaxed);
-
-    const int fired = n.wheel.fireDue(clock_.now());
-    if (fired > 0) {
-      n.timers_fired += fired;
-      pending_.fetch_sub(fired, std::memory_order_release);
-    }
-    flushSpill(n);
-
-    double wait = cfg_.max_idle_wait_s;
-    const SimTime next = n.wheel.nextDeadline();
-    if (std::isfinite(next)) {
-      const double until = next - clock_.now();
-      if (until <= 0.0) continue;  // due already: fire before sleeping
-      wait = std::min(wait, until);
-    }
-    if (n.spill_size != 0) wait = std::min(wait, 1e-4);  // retry spill soon
-
-    Envelope e;
-    if (!n.mailbox.pop(e, wait)) continue;
-    switch (e.kind) {
-      case Envelope::Kind::kState:
-        ++n.delivered_state;
-        LOADEX_EXPECT(n.handler != nullptr, "state message with no handler");
-        n.handler->onStateMessage(e.msg);
-        break;
-      case Envelope::Kind::kTask:
-        ++n.delivered_task;
-        e.fn();
-        break;
-      case Envelope::Kind::kStop:
-        pending_.fetch_sub(1, std::memory_order_release);
-        return;
-    }
-    // Decrement only after the handler ran: anything it posted is already
-    // counted, so pending can never dip to a false zero mid-chain.
-    pending_.fetch_sub(1, std::memory_order_release);
-  }
 }
 
 // ---- M:N sharded executor -------------------------------------------------
@@ -715,7 +599,7 @@ void RtWorld::workerLoop(int w) {
       continue;
     }
     // Armed timers / pending spill cap the sleep so neither is stalled
-    // by a full backoff (mirrors the legacy loop's wait clamping).
+    // by a full backoff.
     MonotonicClock::sleepFor(pass.urgent ? std::min(backoff, 1e-4)
                                          : backoff);
     backoff = std::min(backoff * 2.0, cfg_.max_idle_wait_s);
@@ -744,14 +628,14 @@ void RtWorld::processShardNode(Shard& sh, Node& n,
     if (life == RankLife::kCrashed) return;  // sealed: driver tore it down
     if (life == RankLife::kPaused) {
       // Parked: consume nothing until resumed — except during stop,
-      // when the kStop must drain (the legacy loop unparks then too).
+      // when the kStop must drain.
       if (!stopping_.load(std::memory_order_acquire)) return;
     } else {
       n.heartbeat.store(clock_.now(), std::memory_order_relaxed);
     }
   }
-  // Handlers observe the rank they run as via the same thread-local the
-  // legacy loop uses; reset before the worker moves to the next rank.
+  // Handlers observe the rank they run as via a thread-local, reset
+  // before the worker moves to the next rank.
   t_current_node = &n;
   n.pub_wheel_pending.store(n.wheel.pending(), std::memory_order_relaxed);
   n.pub_spill.store(n.spill_size, std::memory_order_relaxed);

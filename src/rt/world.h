@@ -3,43 +3,36 @@
 //   RtWorld world(cfg);                         // build nodes + transports
 //   core::MechanismSet mechs(world.transports(), kind, mcfg);
 //   world.attach(r, &mechs.at(r));              // per rank, before start
-//   world.start();                              // spawn the executor
+//   world.start();                              // spawn the worker pool
 //   world.post(...); world.drain(timeout);      // drive + quiesce
 //   world.stop();                               // join; stats now stable
 //
 // Each node owns a bounded MPSC mailbox (rt/mailbox.h) and a timer wheel
-// (rt/timer_wheel.h). How nodes get CPU time is the executor's business
-// (RtExecutorConfig):
-//
-//   M:N sharded executor (default) — ranks are partitioned over shards
-//     (rank % shards) and a fixed worker pool runs them, so N=1024 ranks
-//     fit on 8 cores. A shard's mutex (sync::LockRank::kShard) is the
-//     consumer-ownership token for every member rank's mailbox, wheel and
-//     spill queues: a worker locks a shard, runs each member (fire due
-//     timers, flush spill, drain the mailbox's backlog in tryPopBatch
-//     chunks, at most one mailbox capacity per visit), and releases.
-//     Workers own shards round-robin (shard s is home to worker
-//     s % workers) and, with steal enabled, opportunistically try_lock
-//     foreign shards so an imbalanced or blocked shard cannot strand its
-//     ranks. A worker never holds two shard locks at once.
-//   legacy thread-per-rank (executor.legacy_executor) — one OS thread per
-//     rank, the PR 5 design, kept as the A/B escape hatch. Node state is
-//     thread-confined instead of shard-locked; the loop alternates firing
-//     timers, flushing spill and popping envelopes, waking at least every
-//     max_idle_wait_s.
+// (rt/timer_wheel.h), but no thread: an M:N sharded executor gives nodes
+// CPU time (RtExecutorConfig). Ranks are partitioned over shards
+// (rank % shards) and a fixed worker pool runs them, so N=1024 ranks fit
+// on 8 cores. A shard's mutex (sync::LockRank::kShard) is the
+// ownership token for every member rank's mailbox, wheel and spill
+// queues — to own a rank is to hold its shard lock. A worker locks a
+// shard, runs each member (fire due timers, flush spill, drain the
+// mailbox's backlog in tryPopBatch chunks, at most one mailbox capacity
+// per visit), and releases. Workers own shards round-robin (shard s is
+// home to worker s % workers) and, with steal enabled, opportunistically
+// try_lock foreign shards so an imbalanced or blocked shard cannot strand
+// its ranks. A worker never holds two shard locks at once.
 //
 // Two rules make the system deadlock-free and drainable:
 //
-//   no node blocks  — a node thread only ever tryPushes to a peer; when
+//   no node blocks  — a rank's owner only ever tryPushes to a peer; when
 //     the peer's mailbox is full the envelope goes to a per-destination
-//     spill queue on the sender, flushed on every loop turn (per-pair FIFO
+//     spill queue on the sender, flushed on every visit (per-pair FIFO
 //     preserved: once a destination spills, later sends to it spill too).
 //     Only external driver threads may use the blocking post().
 //   conservation of pending work — a global counter is incremented before
 //     any envelope/timer is enqueued and decremented only after its
 //     handler completes, so work a handler spawns is counted before its
 //     own count drops: pending == 0 is a stable quiescent state, which is
-//     exactly what drain() polls for. The M:N executor batches both
+//     exactly what drain() polls for. The executor batches both
 //     edges: a state broadcast is counted once, for all its copies,
 //     before the first copy is visible to any receiver, and a shard
 //     visit settles once, for every timer and handler it ran, after the
@@ -51,7 +44,7 @@
 // Fault injection (rt/faults.h) extends both rules to an unreliable
 // platform while keeping them true. With cfg.faults enabled:
 //
-//   message faults — every node-thread send may be dropped (random or
+//   message faults — every send from a rank may be dropped (random or
 //     blackout), duplicated (the copy rides right behind the original,
 //     per-pair FIFO intact) or held back by a latency spike. A held
 //     envelope waits in the sender's spill queue with a release time, so
@@ -60,13 +53,12 @@
 //   rank lifecycle — crashRank seals the victim's mailbox (senders drop,
 //     counted), cancels its armed timers and discards its outbound spill;
 //     pauseRank parks the rank without consuming anything; restartRank
-//     sweeps the sealed backlog and revives it. Under the M:N executor
-//     these are shard-local state transitions: the driver takes the
-//     victim's shard lock (becoming the unique owner of its wheel and
-//     spill), flips the per-rank life atomic and tears down inline — no
-//     thread is spawned or joined. The legacy executor joins/spawns the
-//     rank's thread instead. Every discarded envelope and cancelled timer
-//     settles the pending-work counter, so drain() still reaches a true
+//     sweeps the sealed backlog and revives it. These are shard-local
+//     state transitions: the driver takes the victim's shard lock
+//     (becoming the unique owner of its wheel and spill), flips the
+//     per-rank life atomic and tears down inline — no thread is spawned
+//     or joined. Every discarded envelope and cancelled timer settles
+//     the pending-work counter, so drain() still reaches a true
 //     quiescent zero under any crash schedule.
 //
 // With the default (inert) plan none of this code runs: no per-send
@@ -100,13 +92,10 @@ namespace loadex::rt {
 
 class Supervisor;
 
-/// How ranks get CPU time (see the file comment). The defaults run the
-/// M:N sharded executor auto-sized to the machine; tests pin workers and
-/// shards for reproducible schedules.
+/// How ranks get CPU time (see the file comment). The defaults auto-size
+/// the worker pool to the machine; tests pin workers and shards for
+/// reproducible schedules.
 struct RtExecutorConfig {
-  /// Escape hatch: one OS thread per rank (the PR 5 design), for A/B runs
-  /// against the sharded executor. Every other field is ignored then.
-  bool legacy_executor = false;
   /// Worker pool size; 0 auto-sizes to min(nprocs, hardware threads).
   int workers = 0;
   /// Shard count; 0 auto-sizes to min(nprocs, 2 * workers). Clamped to
@@ -125,14 +114,14 @@ struct RtConfig {
   /// Timer wheel shape (per node).
   double timer_slot_s = 1e-4;
   std::size_t timer_slots = 256;
-  /// Longest a node loop / idle worker sleeps with nothing due: bounds
-  /// spill-flush and stop latency, and caps the cost of any missed wakeup.
+  /// Longest an idle worker sleeps with nothing due: bounds spill-flush
+  /// and stop latency, and caps the cost of any missed wakeup.
   double max_idle_wait_s = 1e-3;
   /// Fault injection + supervision plan; inert by default.
   FaultPlan faults;
 };
 
-/// Aggregated run counters; exact once stop() has joined the threads.
+/// Aggregated run counters; exact once stop() has joined the workers.
 struct RtRunStats {
   std::int64_t state_posted = 0;     ///< sendState calls (one per dst)
   std::int64_t state_delivered = 0;  ///< onStateMessage invocations
@@ -146,7 +135,7 @@ struct RtRunStats {
   /// a home visit is a worker entering a shard it owns (s ≡ w mod
   /// workers), a stolen visit is an idle worker's try_lock on someone
   /// else's shard. stolen / (home + stolen) is the steal rate the weak-
-  /// scaling bench reports; both stay 0 under the legacy executor.
+  /// scaling bench reports.
   std::int64_t shard_visits_home = 0;
   std::int64_t shard_visits_stolen = 0;
   std::uint64_t mailbox_pushes = 0;
@@ -182,7 +171,7 @@ struct RtRunStats {
 class RtWorld {
  public:
   explicit RtWorld(RtConfig cfg = {});
-  ~RtWorld();  ///< stops (joins) if still running
+  ~RtWorld();  ///< stops (joins the workers) if still running
 
   RtWorld(const RtWorld&) = delete;
   RtWorld& operator=(const RtWorld&) = delete;
@@ -191,11 +180,9 @@ class RtWorld {
   SimTime now() const { return clock_.now(); }
   const FaultPlan& faultPlan() const { return cfg_.faults; }
 
-  /// Resolved executor shape (auto-sizing applied); 0 before start() or
-  /// under the legacy executor, which has no pool.
+  /// Resolved executor shape (auto-sizing applied); 0 before start().
   int workerCount() const { return n_workers_; }
   int shardCount() const { return n_shards_; }
-  bool usingLegacyExecutor() const { return cfg_.executor.legacy_executor; }
 
   /// Per-rank transports, in rank order — feed to MechanismSet.
   std::vector<core::Transport*> transports();
@@ -213,8 +200,8 @@ class RtWorld {
   void start();
   bool running() const { return started_ && !stopped_; }
 
-  /// Run a closure on rank r's thread. Blocking backpressure — driver
-  /// threads only, never from a node thread (use postTask there). With
+  /// Run a closure as rank r. Blocking backpressure — driver threads
+  /// only, never from inside a rank (use postTask there). With
   /// fault hooks enabled a post to a crashed rank is dropped (counted),
   /// not blocked on.
   void post(Rank r, std::function<void()> fn);
@@ -229,7 +216,8 @@ class RtWorld {
   void postWhenFree(Rank r, std::function<void()> fn, double retry_s = 1e-4);
 
   /// Node-to-node closure post (application work delegation). Must be
-  /// called on `from`'s thread; never blocks (spills when `to` is full).
+  /// called from inside rank `from`; never blocks (spills when `to` is
+  /// full).
   void postTask(Rank from, Rank to, std::function<void()> fn);
 
   /// Wait until the pending-work counter reaches its stable zero, i.e. no
@@ -240,17 +228,17 @@ class RtWorld {
   /// short slices and expect most of them to time out).
   bool drain(double timeout_s, bool log_on_timeout = true);
 
-  /// Post a stop envelope to every node and join the threads. Idempotent.
+  /// Post a stop envelope to every node and join the workers. Idempotent.
   void stop();
 
   // ---- rank lifecycle (fault hooks enabled only) -----------------------
-  // Callable from driver or supervisor threads, never from a node/worker
-  // thread. crashRank seals the mailbox, takes ownership of the victim
-  // (its shard lock under M:N, a thread join under legacy), tears down
-  // its wheel + spill and sweeps the backlog; restartRank revives a
-  // crashed rank (fresh thread under legacy, a life flip under M:N).
-  // Concurrent use against stop() is not supported: scripted plans are
-  // executed by the supervisor, which stop() joins first.
+  // Callable from driver or supervisor threads, never from inside a rank.
+  // crashRank seals the mailbox, takes ownership of the victim (its shard
+  // lock), tears down its wheel + spill and sweeps the backlog;
+  // restartRank revives a crashed rank with a life flip. Both need a
+  // started world (the shards exist from start() on). Concurrent use
+  // against stop() is not supported: scripted plans are executed by the
+  // supervisor, which stop() joins first.
 
   void crashRank(Rank r) LOADEX_EXCLUDES(lifecycle_mu_);
   void pauseRank(Rank r) LOADEX_EXCLUDES(lifecycle_mu_);
@@ -261,12 +249,13 @@ class RtWorld {
   /// Drain sealed mailboxes of crashed ranks (racing senders can land a
   /// push between the seal and their next life check; the sweep settles
   /// the pending-work counter). drain() and the supervisor call this
-  /// periodically; safe from any non-node thread.
+  /// periodically; safe from any thread outside the ranks, and a no-op
+  /// before start().
   void sweepCrashedMailboxes() LOADEX_EXCLUDES(lifecycle_mu_);
 
   /// Snapshot of the run counters (exact after stop()). Not safe to call
-  /// while node threads run: it folds in thread-confined per-node
-  /// counters. To poll progress mid-run use lifecycleCounts().
+  /// while the workers run: it folds in owner-written per-node counters.
+  /// To poll progress mid-run use lifecycleCounts().
   RtRunStats runStats() const;
 
   /// Detector / lifecycle counters only, read from atomics — safe to
@@ -307,19 +296,12 @@ class RtWorld {
     TimerWheel wheel;
     std::unique_ptr<RtTransport> transport;
     sim::StateHandler* handler = nullptr;
-    /// Legacy executor only: the rank's dedicated OS thread.
-    std::thread thread;
-    /// M:N executor only: the shard that owns this rank (fixed at
-    /// start(); holding shard->mu is what owning the node means).
+    /// The shard that owns this rank (fixed at start(); holding
+    /// shard->mu is what owning the node means).
     Shard* shard = nullptr;
-    /// M:N executor only: this rank consumed its kStop (guarded by the
-    /// shard mutex — workers skip the rank from then on).
+    /// This rank consumed its kStop (guarded by the shard mutex —
+    /// workers skip the rank from then on).
     bool stopped = false;
-    /// Confinement marker for the sender-side state below under the
-    /// legacy executor; its loop rebinds on entry so restarts hand
-    /// ownership to the new thread. Unused (never bound) under M:N,
-    /// where the shard mutex carries ownership instead.
-    LOADEX_THREAD_CONFINED(confined);
     /// Per-destination spill queues (sender side), touched only by the
     /// node's current owner. Deques are allocated lazily on first spill
     /// to a destination — an eager nprocs-sized deque table would be
@@ -329,11 +311,10 @@ class RtWorld {
     /// flushSpill walks and compacts this instead of scanning all N.
     std::vector<Rank> spill_dirty;
     std::size_t spill_size = 0;
-    // Counters written only by the node's owner (its thread under
-    // legacy, any worker holding the shard lock under M:N), read after
-    // the executor quiesces. Cumulative across restarts (the join in the
-    // legacy crashRank — or the shard lock under M:N — orders the old
-    // incarnation's writes before the new owner's).
+    // Counters written only by the node's owner (any worker holding the
+    // shard lock), read after the executor quiesces. Cumulative across
+    // restarts (the shard lock orders the old incarnation's writes before
+    // the new owner's).
     std::int64_t delivered_state = 0;
     std::int64_t delivered_task = 0;
     std::int64_t timers_fired = 0;
@@ -343,14 +324,13 @@ class RtWorld {
 
     // ---- lifecycle + published diagnostics -----------------------------
     std::atomic<int> life{static_cast<int>(RankLife::kAlive)};
-    std::atomic<bool> crash_requested{false};
-    /// Wall-clock of the last loop turn (failure-detector heartbeat).
+    /// Wall-clock of the last shard visit (failure-detector heartbeat).
     std::atomic<double> heartbeat{0.0};
-    /// Loop-turn snapshots of thread-confined depths, so drain timeout
+    /// Per-visit snapshots of owner-confined depths, so drain timeout
     /// diagnostics can read them without racing the owner.
     std::atomic<std::size_t> pub_wheel_pending{0};
     std::atomic<std::size_t> pub_spill{0};
-    /// Per-sender fault RNG stream (owning thread only).
+    /// Per-sender fault RNG stream (owner only).
     std::unique_ptr<Rng> fault_rng;
 
     Node(const RtConfig& cfg, Rank r)
@@ -360,10 +340,10 @@ class RtWorld {
           spill(static_cast<std::size_t>(cfg.nprocs)) {}
   };
 
-  /// M:N executor: a run-queue partition. The mutex is the consumer-
-  /// ownership token for every member rank (sync::LockRank::kShard, the
-  /// bottom of the hierarchy: handlers run under it and may take any
-  /// other lock). Membership is fixed at start().
+  /// A run-queue partition. The mutex is the ownership token for every
+  /// member rank (sync::LockRank::kShard, the bottom of the hierarchy:
+  /// handlers run under it and may take any other lock). Membership is
+  /// fixed at start().
   struct Shard {
     sync::Mutex mu{sync::LockRank::kShard};
     std::vector<Node*> members LOADEX_GUARDED_BY(mu);
@@ -377,10 +357,10 @@ class RtWorld {
 
   Node& node(Rank r);
   const Node& node(Rank r) const;
-  Node& callingNode();  ///< hard-fails unless called on a node thread
+  Node& callingNode();  ///< hard-fails unless called from inside a rank
 
-  /// The node whose loop runs on the current thread (null on driver
-  /// threads). Thread-confined by definition: no synchronisation needed.
+  /// The node the current worker is running (null on driver threads and
+  /// between visits). Thread-local by definition: no synchronisation.
   static thread_local Node* t_current_node;
 
   // RtTransport backends.
@@ -401,9 +381,8 @@ class RtWorld {
   void enqueueFromNode(Node& src, Rank dst, Envelope&& e, SimTime not_before);
   void flushSpill(Node& n);
   void runWhenFree(Node& n, std::function<void()>&& fn, double retry_s);
-  void nodeLoop(Node& n);  ///< legacy executor: one per rank
 
-  // ---- M:N executor --------------------------------------------------
+  // ---- executor ------------------------------------------------------
   void workerLoop(int w);
   /// One attempt at a shard: skipped (false) when another worker holds
   /// it — under steal that worker is already doing the shard's work.
@@ -414,11 +393,10 @@ class RtWorld {
   /// (up to one mailbox capacity per visit).
   void processShardNode(Shard& sh, Node& n, std::vector<Envelope>& scratch,
                         Pass& pass) LOADEX_REQUIRES(sh.mu);
-  /// Debug check that the calling thread owns `n`'s sender-side state:
-  /// holds n.shard->mu under M:N, is the confined thread under legacy.
-  /// This (not thread identity) is the spill-hold FIFO ownership rule —
-  /// under stealing, consecutive flushes of one rank's spill legally run
-  /// on different worker threads.
+  /// Debug check that the calling thread owns `n`'s sender-side state,
+  /// i.e. holds n.shard->mu. This (not thread identity) is the spill-hold
+  /// FIFO ownership rule — under stealing, consecutive flushes of one
+  /// rank's spill legally run on different worker threads.
   void assertSenderOwned(const Node& n) const;
 
   // Fault accounting: every path that loses an envelope must settle the
@@ -430,22 +408,21 @@ class RtWorld {
   }
 
   /// Crash teardown: cancel timers, discard the outbound spill, clear
-  /// published depths. Run by whoever owns the node at the crash — the
-  /// dying thread itself under legacy, the driver thread holding the
-  /// victim's shard lock under M:N.
+  /// published depths. Run by the driver thread holding the victim's
+  /// shard lock.
   void crashTeardown(Node& n);
-  /// Drain a sealed mailbox. Caller holds lifecycle_mu_ and the node's
-  /// thread has been joined (the sweeper is then the unique consumer).
+  /// Drain a sealed mailbox. Caller holds the node's shard lock (so it is
+  /// the unique consumer) and lifecycle_mu_.
   void sweepMailboxLocked(Node& n) LOADEX_REQUIRES(lifecycle_mu_);
   void logDrainDiagnostics() const;
 
   RtConfig cfg_;
   MonotonicClock clock_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  // M:N executor state; empty under the legacy executor.
+  // Executor state, built by start().
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> workers_;
-  int n_workers_ = 0;  ///< resolved pool size (0 under legacy)
+  int n_workers_ = 0;  ///< resolved pool size
   int n_shards_ = 0;
   /// Stop-protocol countdown: set to the number of kStop envelopes
   /// before stopping_ is raised; workers exit only once every one has
@@ -460,10 +437,10 @@ class RtWorld {
   std::unique_ptr<Supervisor> supervisor_;
   /// Serialises crash/restart/sweep transitions (cold paths). Guards no
   /// member directly — the lifecycle states are per-node atomics — but
-  /// mutual exclusion makes each transition's seal/join/sweep atomic.
-  /// Ranked below the mailbox locks: sweeps pop sealed mailboxes.
+  /// mutual exclusion makes each transition's seal/teardown/sweep atomic.
   mutable sync::Mutex lifecycle_mu_{sync::LockRank::kLifecycle};
-  /// Raised by stop(): paused loops unpark so the kStop can drain.
+  /// Raised by stop(): paused ranks get visited again so the kStop can
+  /// drain.
   std::atomic<bool> stopping_{false};
 
   /// The conservation counter drain() polls (see file comment).

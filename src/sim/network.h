@@ -9,11 +9,11 @@
 #include <functional>
 #include <vector>
 
+#include "common/faults.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "sim/event_queue.h"
-#include "sim/faults.h"
 #include "sim/message.h"
 
 namespace loadex::sim {
@@ -39,7 +39,7 @@ struct NetworkConfig {
   double jitter_s = 0.0;
   std::uint64_t seed = 0x6a177e5;
 
-  /// Message-level fault injection; inert by default (see sim/faults.h).
+  /// Message-level fault injection; inert by default (see common/faults.h).
   FaultPlan faults;
 
   /// Escape hatch for the differential test harness: expand broadcast()

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/faults.h"
 #include "common/types.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
@@ -21,7 +22,7 @@ struct WorldConfig {
   /// nprocs entries, each > 0.
   std::vector<double> speed_factors;
   /// Scripted crash / pause / resume / restart events, scheduled when the
-  /// simulation starts (see sim/faults.h).
+  /// simulation starts (see common/faults.h).
   std::vector<ProcessFaultEvent> process_faults;
 };
 

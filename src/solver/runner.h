@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "common/faults.h"
 #include "core/mechanism.h"
 #include "obs/results.h"
 #include "obs/trace.h"
@@ -40,7 +41,7 @@ struct SolverConfig {
 
   /// Scripted process-level faults (crash/pause/resume/restart at given
   /// times). Network-level faults live in `network.faults`.
-  std::vector<sim::ProcessFaultEvent> process_faults;
+  std::vector<ProcessFaultEvent> process_faults;
 
   // ---- observability (loadex_obs) --------------------------------------
   /// Trace recorder installed for the duration of the run (per-rank track

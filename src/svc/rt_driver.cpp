@@ -16,7 +16,7 @@ namespace loadex::svc {
 
 namespace {
 
-/// Dispatcher state, confined to rank 0's node thread: every member is
+/// Dispatcher state, confined to rank 0's owner: every member is
 /// only touched from closures posted to rank 0 (arrivals from the
 /// driver thread, view callbacks from rank 0's own message handling).
 /// The ledger is the one cross-thread structure and locks internally.

@@ -4,11 +4,11 @@
 // Shape: an external driver thread floods the arrival script into rank
 // 0 through the blocking post() (mailbox backpressure is the pacing);
 // every dispatch decision — reference policy or mechanism view — runs
-// on rank 0's node thread, so the dispatcher state (pending queue,
-// policy object, in-flight view flag, injection digest) is
-// thread-confined exactly like the sim version. The chosen server
+// as rank 0 (under rank 0's shard lock), so the dispatcher state
+// (pending queue, policy object, in-flight view flag, injection digest)
+// has one owner at a time exactly like the sim version. The chosen server
 // receives the request as a task envelope (postTask); its closure runs
-// on the server's thread and records enqueue/start/complete back to
+// as the server rank and records enqueue/start/complete back to
 // back — the rt run measures the *dispatch and transport* sojourn, not
 // a simulated compute burn (real spins would only re-measure the host
 // scheduler). The SvcLedger is the one shared structure; it locks at

@@ -41,6 +41,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/faults.h"
 #include "core/audit.h"
 #include "core/binding.h"
 #include "core/mechanism.h"
@@ -81,7 +82,7 @@ struct SvcSimConfig {
   sim::NetworkConfig network;
   sim::ProcessConfig process;
   std::vector<double> speed_factors;  ///< heterogeneous servers
-  std::vector<sim::ProcessFaultEvent> process_faults;
+  std::vector<ProcessFaultEvent> process_faults;
 
   // ---- auditing --------------------------------------------------------
   /// Attach a ProtocolAuditor to the mechanism set (mechanism-backed

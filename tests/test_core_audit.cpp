@@ -99,7 +99,7 @@ TEST(Audit, ConcurrentSnapshotsAuditClean) {
 sim::WorldConfig oneLinkBlackout() {
   sim::WorldConfig wcfg;
   wcfg.network.faults.blackouts.push_back(
-      sim::LinkBlackout{0, 1, 0.05, 0.2});
+      LinkBlackout{0, 1, 0.05, 0.2});
   return wcfg;
 }
 
@@ -177,7 +177,7 @@ TEST(Audit, DelegatedWorkWithoutReservationIsDetected) {
 TEST(Audit, CrashedResponderBreaksSnapshotTermination) {
   sim::WorldConfig wcfg;
   wcfg.process_faults.push_back(
-      {1, 0.05, sim::ProcessFaultEvent::Kind::kCrash});
+      {1, 0.05, ProcessFaultEvent::Kind::kCrash});
   AuditorConfig acfg;
   acfg.allow_crashes = true;  // the crash itself is scripted, hence legal
   CoreHarness h(2, MechanismKind::kSnapshot, MechanismConfig{}, wcfg);
@@ -200,7 +200,7 @@ TEST(Audit, CrashedResponderBreaksSnapshotTermination) {
 TEST(Audit, SendToCrashedRankIsDetected) {
   sim::WorldConfig wcfg;
   wcfg.process_faults.push_back(
-      {2, 0.05, sim::ProcessFaultEvent::Kind::kCrash});
+      {2, 0.05, ProcessFaultEvent::Kind::kCrash});
   CoreHarness h(3, MechanismKind::kIncrement, tinyThreshold(), wcfg);
   auto& a = h.attachAuditor();
   h.at(0.1, [&] { h.mechs.at(0).addLocalLoad({100.0, 0.0}); });

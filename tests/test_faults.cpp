@@ -17,11 +17,8 @@ namespace {
 using core::MechanismConfig;
 using core::MechanismKind;
 using sim::Channel;
-using sim::FaultPlan;
-using sim::LinkBlackout;
 using sim::Message;
 using sim::NetworkConfig;
-using sim::ProcessFaultEvent;
 using test::CoreHarness;
 
 // ---- network-level faults --------------------------------------------------

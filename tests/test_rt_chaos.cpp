@@ -14,9 +14,9 @@
 //     latency-spike path cannot reorder a pair stream), and view
 //     coherence between a restarted rank and every surviving peer after
 //     an explicit rejoin resync at quiescence. The sweep spans the
-//     executor axis: the default M:N pool, pinned 1- and 2-worker pools
-//     (ranks ≫ workers forces steals), and the legacy thread-per-rank
-//     escape hatch, plus a saturation flood of 1024 ranks on 4 workers;
+//     executor shapes: the auto-sized pool and pinned 1- and 2-worker
+//     pools (ranks ≫ workers forces steals), plus a saturation flood of
+//     1024 ranks on 4 workers;
 //
 //   * deterministic lifecycle units (FaultPlan::manual_control) — exact
 //     drop accounting around a sealed mailbox, heartbeat detection
@@ -94,8 +94,7 @@ struct ChaosCase {
   MechanismKind kind = MechanismKind::kNaive;
   bool hardened = false;        ///< increment only
   bool permanent_crash = false; ///< one victim stays down for good
-  bool legacy = false;          ///< A/B: thread-per-rank escape hatch
-  int workers = 0;              ///< M:N pool size (0: auto)
+  int workers = 0;              ///< worker pool size (0: auto)
 };
 
 /// Hostile script sized like test_rt_stress's, except masters are drawn
@@ -141,7 +140,6 @@ TEST_P(RtChaos, SurvivesCrashPauseRestartWithLoss) {
                " kind=" + core::mechanismKindName(c.kind) +
                (c.hardened ? " hardened" : "") +
                (c.permanent_crash ? " permanent_crash" : "") +
-               (c.legacy ? " legacy" : "") +
                (c.workers > 0 ? " workers=" + std::to_string(c.workers)
                               : ""));
 
@@ -152,7 +150,6 @@ TEST_P(RtChaos, SurvivesCrashPauseRestartWithLoss) {
 
   rt::RtConfig rcfg;
   rcfg.nprocs = c.nprocs;
-  rcfg.executor.legacy_executor = c.legacy;
   rcfg.executor.workers = c.workers;
   rt::FaultPlan& fp = rcfg.faults;
   fp.messages.drop_prob = 0.05;
@@ -259,22 +256,19 @@ TEST_P(RtChaos, SurvivesCrashPauseRestartWithLoss) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RtChaos,
     ::testing::Values(
-        // M:N executor, auto-sized pool (the default runtime).
+        // Auto-sized pool (the default runtime).
         ChaosCase{1, 8, MechanismKind::kNaive, false, false},
         ChaosCase{2, 8, MechanismKind::kIncrement, true, false},
         ChaosCase{3, 8, MechanismKind::kSnapshot, false, false},
         ChaosCase{4, 32, MechanismKind::kNaive, false, true},
         ChaosCase{5, 32, MechanismKind::kIncrement, true, true},
         ChaosCase{6, 32, MechanismKind::kSnapshot, false, true},
-        // A/B on the legacy thread-per-rank escape hatch: the fault layer
-        // must behave identically when lifecycle events join/spawn real
-        // threads instead of flipping shard-local state.
-        ChaosCase{7, 8, MechanismKind::kNaive, false, false, true},
-        ChaosCase{8, 32, MechanismKind::kSnapshot, false, true, true},
         // Pinned small pools: ranks ≫ workers, so crash teardown and
         // restart must interleave with foreign-shard steals.
-        ChaosCase{9, 32, MechanismKind::kIncrement, true, true, false, 2},
-        ChaosCase{10, 32, MechanismKind::kNaive, false, false, false, 1}));
+        ChaosCase{7, 8, MechanismKind::kNaive, false, false, 2},
+        ChaosCase{8, 32, MechanismKind::kSnapshot, false, true, 2},
+        ChaosCase{9, 32, MechanismKind::kIncrement, true, true, 2},
+        ChaosCase{10, 32, MechanismKind::kNaive, false, false, 1}));
 
 // ---- M:N saturation flood --------------------------------------------------
 

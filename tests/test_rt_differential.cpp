@@ -22,11 +22,10 @@
 // choices (view timing differs), or any latency property.
 //
 // The executor axis (RtExecutorAxis below) replays the same scripts over
-// every runtime the rt world offers — the legacy thread-per-rank executor
-// and the M:N sharded executor at 1, 2 and 8 workers with stealing on and
-// off — at N up to 1024 ranks. The invariants are executor-blind, which
-// is exactly the claim: scheduling is a performance decision, never a
-// semantic one.
+// every shape of the rt executor — 1, 2 and 8 workers with stealing on
+// and off — at N up to 1024 ranks. The invariants are schedule-blind,
+// which is exactly the claim: scheduling is a performance decision, never
+// a semantic one.
 //
 // The process axis (RtProcessAxis below) goes one level further down:
 // the same script replayed across 8 separate OS processes over
@@ -120,28 +119,22 @@ Replay runOnSimulator(const Script& s) {
 
 // ---- rt replay ------------------------------------------------------------
 
-/// One point on the executor axis. The default is the M:N executor
-/// auto-sized to the machine — what every non-axis test below runs on.
+/// One point on the executor axis. The default auto-sizes the pool to the
+/// machine — what every non-axis test below runs on.
 struct ExecVariant {
   const char* name = "mn_auto";
-  bool legacy = false;
-  int workers = 0;  ///< 0: auto
-  bool steal = true;
+  rt::RtExecutorConfig config;
 };
 
-Replay runOnRt(const Script& s, bool lock_free_ring,
-               const ExecVariant& ex = {},
+Replay runOnRt(const Script& s, const ExecVariant& ex = {},
                std::size_t mailbox_capacity = 0) {
   rt::RtConfig rcfg;
   rcfg.nprocs = s.nprocs;
-  rcfg.mailbox.lock_free_ring = lock_free_ring;
   // Big-N runs shrink the rings: the default 4096 slots per rank would
   // cost hundreds of MB at N=1024, and a small ring exercises the spill
   // path the executor must keep FIFO anyway.
   if (mailbox_capacity != 0) rcfg.mailbox.capacity = mailbox_capacity;
-  rcfg.executor.legacy_executor = ex.legacy;
-  rcfg.executor.workers = ex.workers;
-  rcfg.executor.steal = ex.steal;
+  rcfg.executor = ex.config;
   rt::RtWorld world(rcfg);
   core::MechanismSet mechs(world.transports(), s.kind, mechanismConfigOf(s));
 
@@ -150,10 +143,8 @@ Replay runOnRt(const Script& s, bool lock_free_ring,
 
   for (Rank r = 0; r < s.nprocs; ++r) world.attach(r, &mechs.at(r));
   world.start();
-  if (ex.legacy) {
-    EXPECT_EQ(world.workerCount(), 0);  // no pool under thread-per-rank
-  } else if (ex.workers > 0 && ex.workers <= s.nprocs) {
-    EXPECT_EQ(world.workerCount(), ex.workers);
+  if (ex.config.workers > 0 && ex.config.workers <= s.nprocs) {
+    EXPECT_EQ(world.workerCount(), ex.config.workers);
   }
 
   rt::WorkloadDriver driver(world, mechs);
@@ -206,7 +197,7 @@ void checkScript(const Script& s) {
   const ScriptExpectations want = harness::expectationsOf(s);
 
   const Replay sim = runOnSimulator(s);
-  const Replay rtr = runOnRt(s, /*lock_free_ring=*/true);
+  const Replay rtr = runOnRt(s);
 
   // Selection conservation: both runtimes commit every scripted selection.
   EXPECT_EQ(sim.committed, want.selections);
@@ -251,33 +242,20 @@ INSTANTIATE_TEST_SUITE_P(Kinds, RtDifferentialPerKind,
                                core::mechanismKindName(i.param));
                          });
 
-// The mutex-baseline mailbox must satisfy the same invariants as the ring
-// (the differential above always runs the ring fast path).
-TEST(RtDifferential, MutexMailboxBaselineAgreesToo) {
-  for (std::uint64_t seed = 201; seed < 204; ++seed) {
-    const Script s = harness::drawScript(seed);
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    const ScriptExpectations want = harness::expectationsOf(s);
-    const Replay rtr = runOnRt(s, /*lock_free_ring=*/false);
-    EXPECT_EQ(rtr.committed, want.selections);
-    expectLoadNear(rtr.total_load, want.total_load);
-  }
-}
-
 // ---- executor axis ---------------------------------------------------------
 //
-// {legacy, M:N×{1,2,8} workers, steal on/off} × 3 mechanisms at
-// N ∈ {32, 256, 1024}. All three axes shrink to the same claim: the
-// conservation invariants of checkScript hold on every executor, so the
-// M:N refactor changed scheduling, not semantics.
+// {1,2,8} workers × steal on/off × 3 mechanisms at N ∈ {32, 256, 1024}.
+// All three axes shrink to the same claim: the conservation invariants of
+// checkScript hold on every executor shape, and each is checked against
+// the sim replay's expectations — scheduling changes, semantics do not.
 
-constexpr ExecVariant kExecLegacy{"legacy", true, 0, false};
-constexpr ExecVariant kExecMn1{"mn1", false, 1, false};
-constexpr ExecVariant kExecMn1Steal{"mn1_steal", false, 1, true};
-constexpr ExecVariant kExecMn2{"mn2", false, 2, false};
-constexpr ExecVariant kExecMn2Steal{"mn2_steal", false, 2, true};
-constexpr ExecVariant kExecMn8{"mn8", false, 8, false};
-constexpr ExecVariant kExecMn8Steal{"mn8_steal", false, 8, true};
+// {workers, shards (0: auto), steal}
+constexpr ExecVariant kExecMn1{"mn1", {1, 0, false}};
+constexpr ExecVariant kExecMn1Steal{"mn1_steal", {1, 0, true}};
+constexpr ExecVariant kExecMn2{"mn2", {2, 0, false}};
+constexpr ExecVariant kExecMn2Steal{"mn2_steal", {2, 0, true}};
+constexpr ExecVariant kExecMn8{"mn8", {8, 0, false}};
+constexpr ExecVariant kExecMn8Steal{"mn8_steal", {8, 0, true}};
 
 /// One deterministic script per (nprocs, kind): every executor variant
 /// replays the SAME plan, so agreement across the axis is agreement on a
@@ -321,17 +299,13 @@ std::vector<ExecAxisCase> execAxisCases() {
   const MechanismKind kinds[] = {MechanismKind::kNaive,
                                  MechanismKind::kIncrement,
                                  MechanismKind::kSnapshot};
-  // N=32: the full cross, legacy included — cheap enough to be exhaustive.
-  const ExecVariant small_axis[] = {kExecLegacy, kExecMn1,  kExecMn1Steal,
-                                    kExecMn2,    kExecMn2Steal, kExecMn8,
-                                    kExecMn8Steal};
-  // N=256: thread-per-rank is still affordable; keep legacy in the loop
-  // beside representative M:N points (steal off at 2, on at 8).
-  const ExecVariant mid_axis[] = {kExecLegacy, kExecMn2, kExecMn8Steal};
-  // N=1024 is the M:N raison d'être — ranks ≫ cores on both extremes of
-  // the pool (1 worker and 8, steal on/off). Spawning 1024 OS threads to
-  // re-prove that the legacy executor scales badly is not worth the CI
-  // minutes (the N≤256 rows already cover its semantics).
+  // N=32: the full cross — cheap enough to be exhaustive.
+  const ExecVariant small_axis[] = {kExecMn1, kExecMn1Steal, kExecMn2,
+                                    kExecMn2Steal, kExecMn8, kExecMn8Steal};
+  // N=256: representative points (steal off at 2, on at 8).
+  const ExecVariant mid_axis[] = {kExecMn2, kExecMn8Steal};
+  // N=1024 is the executor's raison d'être — ranks ≫ cores on both
+  // extremes of the pool (1 worker and 8, steal on/off).
   const ExecVariant big_axis[] = {kExecMn1, kExecMn8, kExecMn8Steal};
   std::vector<ExecAxisCase> cases;
   for (MechanismKind k : kinds) {
@@ -357,8 +331,7 @@ TEST_P(RtExecutorAxis, ConservationHoldsOnEveryExecutor) {
   EXPECT_EQ(sim.skipped, 0);
   expectLoadNear(sim.total_load, want.total_load);
 
-  const Replay rtr =
-      runOnRt(s, /*lock_free_ring=*/true, c.exec, c.mailbox_capacity);
+  const Replay rtr = runOnRt(s, c.exec, c.mailbox_capacity);
   EXPECT_EQ(rtr.committed, want.selections);
   EXPECT_EQ(rtr.skipped, 0);
   expectLoadNear(rtr.total_load, want.total_load);
@@ -420,7 +393,7 @@ TEST_P(RtProcessAxis, MultiProcessRunAgreesWithSimAndRt) {
   const ScriptExpectations want = harness::expectationsOf(s);
 
   const Replay sim = runOnSimulator(s);
-  const Replay rtr = runOnRt(s, /*lock_free_ring=*/true);
+  const Replay rtr = runOnRt(s);
   const Replay netr = runOnNet(s);
 
   // All three runtimes commit every scripted selection and agree on the

@@ -1,4 +1,4 @@
-// Unit tests of the M:N executor's shard primitives, at a smaller grain
+// Unit tests of the rt executor's shard primitives, at a smaller grain
 // than the differential / chaos suites:
 //
 //   * sharded run-queue FIFO — per-(src,dst) delivery order survives the
@@ -20,7 +20,10 @@
 //     order through the spill path and balances the conservation ledger
 //     with and without message faults;
 //   * bounded visits — a rank whose handlers keep feeding its own mailbox
-//     yields its shard after one mailbox capacity of envelopes.
+//     yields its shard after one mailbox capacity of envelopes;
+//   * lifecycle preconditions — crashRank needs the shards start() builds,
+//     so an early call fails its contract instead of silently tearing
+//     down a rank nobody owns.
 //
 // The timer wheel's shard-confinement abort lives in test_sync.cpp (it
 // needs the LOADEX_SYNC_FORCE_DEBUG build), and the mailbox batch-drain
@@ -34,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/expect.h"
 #include "rt/world.h"
 #include "sim/application.h"
 #include "sim/message.h"
@@ -428,9 +432,34 @@ TEST(RtExecutorShard, AutoShapeClampsWorkersToShardsAndRanks) {
     world.start();
     EXPECT_EQ(world.shardCount(), 3);
     EXPECT_EQ(world.workerCount(), 2);
-    EXPECT_FALSE(world.usingLegacyExecutor());
     world.stop();
   }
+}
+
+// ---- lifecycle preconditions -----------------------------------------------
+
+// Owning a rank means holding its shard lock, and shards only exist from
+// start() on: a crash before start() fails through LOADEX_EXPECT. A sweep
+// before start() has nothing to sweep and stays a no-op.
+TEST(RtExecutorShard, CrashBeforeStartFailsItsContract) {
+  RtConfig rcfg;
+  rcfg.nprocs = 4;
+  rcfg.faults.manual_control = true;
+  RtWorld world(rcfg);
+  std::vector<RecordingHandler> handlers(4);
+  for (Rank r = 0; r < 4; ++r) world.attach(r, &handlers[r]);
+
+  EXPECT_THROW(world.crashRank(1), ContractViolation);
+  EXPECT_EQ(world.rankLife(1), RankLife::kAlive);
+  world.sweepCrashedMailboxes();
+
+  // The failed call left the world intact: it still starts and runs.
+  world.start();
+  world.post(1, [] {});
+  EXPECT_TRUE(world.drain(30.0));
+  world.stop();
+  EXPECT_EQ(world.runStats().crashes, 0);
+  EXPECT_EQ(world.runStats().task_delivered, 1);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Stress test of the rt runtime, intended primarily for ThreadSanitizer:
 // 8-32 ranks flooding tens of thousands of mailbox messages through a
-// random mix of mechanisms, both mailbox implementations, with selections
-// and No_more_master announcements racing the load storm. Assertions are
-// conservation-only (the same invariants as test_rt_differential) — the
-// point is that TSan observes every cross-thread edge of the mailbox, the
-// timer wheel deferrals and the drain protocol under real contention.
+// random mix of mechanisms, with selections and No_more_master
+// announcements racing the load storm. Assertions are conservation-only
+// (the same invariants as test_rt_differential, against the sim replay's
+// expectations) — the point is that TSan observes every cross-thread edge
+// of the mailbox, the timer wheel deferrals and the drain protocol under
+// real contention.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -64,7 +65,6 @@ struct StressCase {
   std::uint64_t seed;
   int nprocs;
   MechanismKind kind;
-  bool lock_free_ring;
 };
 
 class RtStress : public ::testing::TestWithParam<StressCase> {};
@@ -74,12 +74,10 @@ TEST_P(RtStress, FloodsStayConservativeAndTSanClean) {
   const Script s = stressScript(c.seed, c.nprocs, c.kind);
   SCOPED_TRACE("seed=" + std::to_string(c.seed) +
                " nprocs=" + std::to_string(c.nprocs) +
-               " kind=" + core::mechanismKindName(c.kind) +
-               (c.lock_free_ring ? " ring" : " mutex"));
+               " kind=" + core::mechanismKindName(c.kind));
 
   rt::RtConfig rcfg;
   rcfg.nprocs = c.nprocs;
-  rcfg.mailbox.lock_free_ring = c.lock_free_ring;
   // Small mailboxes force the full-mailbox spill path under the storm.
   rcfg.mailbox.capacity = 256;
   rt::RtWorld world(rcfg);
@@ -123,19 +121,19 @@ TEST_P(RtStress, FloodsStayConservativeAndTSanClean) {
 std::string stressName(const ::testing::TestParamInfo<StressCase>& info) {
   const StressCase& c = info.param;
   return std::string(core::mechanismKindName(c.kind)) + "_n" +
-         std::to_string(c.nprocs) + (c.lock_free_ring ? "_ring" : "_mutex");
+         std::to_string(c.nprocs);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Mix, RtStress,
     ::testing::Values(
-        StressCase{11, 8, MechanismKind::kNaive, true},
-        StressCase{12, 16, MechanismKind::kIncrement, true},
-        StressCase{13, 32, MechanismKind::kNaive, true},
-        StressCase{14, 12, MechanismKind::kSnapshot, true},
-        StressCase{15, 8, MechanismKind::kIncrement, false},
-        StressCase{16, 16, MechanismKind::kNaive, false},
-        StressCase{17, 8, MechanismKind::kSnapshot, false}),
+        StressCase{11, 8, MechanismKind::kNaive},
+        StressCase{12, 16, MechanismKind::kIncrement},
+        StressCase{13, 32, MechanismKind::kNaive},
+        StressCase{14, 12, MechanismKind::kSnapshot},
+        StressCase{15, 8, MechanismKind::kIncrement},
+        StressCase{16, 16, MechanismKind::kNaive},
+        StressCase{17, 8, MechanismKind::kSnapshot}),
     stressName);
 
 // The obs layer attaches to an rt run unchanged: every rank thread then

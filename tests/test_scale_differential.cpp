@@ -57,7 +57,7 @@ struct Scenario {
   bool hardened = false;  ///< increment only: reliable_updates
   double threshold = 5.0;
   double jitter_s = 0.0;
-  sim::FaultPlan faults;
+  FaultPlan faults;
   std::vector<LoadOp> loads;
   std::vector<TaskOp> tasks;
   std::vector<SelectOp> selections;

@@ -109,8 +109,8 @@ TEST(SyncLockHierarchyDeathTest, AbortsOnEqualRankNesting) {
   useThreadsafeDeathTests();
   EXPECT_DEATH(
       {
-        Mutex a{LockRank::kMailboxDeque};
-        Mutex b{LockRank::kMailboxDeque};
+        Mutex a{LockRank::kMailboxPark};
+        Mutex b{LockRank::kMailboxPark};
         MutexLock la(a);
         MutexLock lb(b);
       },
