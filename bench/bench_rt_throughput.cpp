@@ -70,10 +70,9 @@ MailboxRun runMailbox(int producers, std::uint64_t msgs_total) {
   for (int p = 0; p < producers; ++p) {
     threads.emplace_back([&mb, per] {
       for (std::uint64_t i = 0; i < per; ++i) {
-        rt::Envelope e;
-        e.kind = rt::Envelope::Kind::kState;
-        e.msg.tag = static_cast<int>(i);
-        mb.push(std::move(e));
+        sim::Message m;
+        m.tag = static_cast<int>(i);
+        mb.push(std::move(m));
       }
     });
   }

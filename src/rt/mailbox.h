@@ -8,6 +8,15 @@
 // with plain loads plus one store. Per-producer FIFO holds because a
 // producer's later CAS claims a strictly later slot.
 //
+// One slot is one 64-byte cache line: an 8-byte sequence plus a 48-byte
+// Envelope, a closed variant of closure / state message / stop, so a
+// transfer moves only the live alternative. A producer publishing slot
+// k+1 never invalidates the line the consumer is reading slot k from,
+// and a push touches only the tail cursor's line and its own slot's. The push count is the tail cursor
+// itself (a slot is claimed only by a successful push) and the pop count
+// the head cursor, so no per-message counter is shared between the two
+// sides.
+//
 // The consumer never blocks: workers poll with backoff (tryPop /
 // tryPopBatch). A rank's owner must only ever tryPush (RtWorld
 // keeps per-destination spill queues for the full case), so no cycle of
@@ -21,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <variant>
 #include <vector>
 
 #include "common/expect.h"
@@ -29,15 +39,17 @@
 
 namespace loadex::rt {
 
-/// One unit of mailbox traffic. kState carries a mechanism message for
-/// StateHandler::onStateMessage; kTask runs a closure as the node
-/// (application work, driver-injected script ops); kStop retires the node.
-struct Envelope {
-  enum class Kind : std::uint8_t { kState, kTask, kStop };
-  Kind kind = Kind::kTask;
-  sim::Message msg;            ///< kState only
-  std::function<void()> fn;    ///< kTask only
-};
+/// Retires the node that pops it.
+struct Stop {};
+
+/// One unit of mailbox traffic: a closure the node runs as itself
+/// (application work, driver-injected script ops), a mechanism message
+/// for StateHandler::onStateMessage, or a Stop. Consumers dispatch with
+/// std::visit, so the compiler checks that each alternative is handled.
+/// A default Envelope is an empty closure.
+using Envelope = std::variant<std::function<void()>, sim::Message, Stop>;
+static_assert(sizeof(Envelope) == 48,
+              "an Envelope plus its slot sequence must fill one cache line");
 
 struct MailboxConfig {
   std::size_t capacity = 1 << 12;  ///< rounded up to a power of two
@@ -71,9 +83,9 @@ class Mailbox {
   /// Non-blocking post from any thread; false if the mailbox is full
   /// (the argument is then left intact).
   bool tryPush(Envelope&& e) LOADEX_EXCLUDES(mu_) {
-    const bool ok = ringPush(e);
-    (ok ? pushes_ : full_rejections_).fetch_add(1, std::memory_order_relaxed);
-    return ok;
+    if (ringPush(e)) return true;
+    full_rejections_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
 
   /// Blocking post (driver threads only — never call from inside a rank).
@@ -92,24 +104,18 @@ class Mailbox {
   }
 
   /// Non-blocking pop (sole consumer only).
-  bool tryPop(Envelope& out) {
-    const bool ok = ringPop(out);
-    if (ok) {
-      pops_.fetch_add(1, std::memory_order_relaxed);
-      wakeProducers();
-    }
-    return ok;
-  }
+  bool tryPop(Envelope& out) { return tryPopBatch(&out, 1) == 1; }
 
   /// Non-blocking batched pop: drain up to `max` envelopes into `out` in
   /// FIFO order, returning how many were taken (sole-consumer only, same
   /// contract as tryPop). The executor drains shards with this so the
-  /// per-pop producer-wake and stats overhead is paid once per batch.
+  /// head-cursor store and the producer-wake check are paid once per batch.
   std::size_t tryPopBatch(Envelope* out, std::size_t max) {
+    const std::size_t head = head_.load(std::memory_order_relaxed);
     std::size_t k = 0;
-    while (k < max && ringPop(out[k])) ++k;
+    while (k < max && ringPop(head + k, out[k])) ++k;
     if (k > 0) {
-      pops_.fetch_add(k, std::memory_order_relaxed);
+      head_.store(head + k, std::memory_order_relaxed);
       wakeProducers();
     }
     return k;
@@ -117,15 +123,15 @@ class Mailbox {
 
   /// Approximate occupancy (exact once producers and consumer quiesce).
   std::size_t approxSize() const {
-    const auto pushed = pushes_.load(std::memory_order_relaxed);
-    const auto popped = pops_.load(std::memory_order_relaxed);
-    return pushed >= popped ? static_cast<std::size_t>(pushed - popped) : 0;
+    const auto popped = head_.load(std::memory_order_relaxed);
+    const auto pushed = tail_.load(std::memory_order_relaxed);
+    return pushed >= popped ? pushed - popped : 0;
   }
 
   MailboxStats stats() const {
     MailboxStats s;
-    s.pushes = pushes_.load(std::memory_order_relaxed);
-    s.pops = pops_.load(std::memory_order_relaxed);
+    s.pushes = tail_.load(std::memory_order_relaxed);
+    s.pops = head_.load(std::memory_order_relaxed);
     s.full_rejections = full_rejections_.load(std::memory_order_relaxed);
     s.blocking_waits = blocking_waits_.load(std::memory_order_relaxed);
     return s;
@@ -136,10 +142,13 @@ class Mailbox {
   // this long at most and correctness never depends on a notify arriving.
   static constexpr double kWaitSliceS = 1e-3;
 
-  struct Cell {
+  static constexpr std::size_t kCacheLine = 64;
+
+  struct alignas(kCacheLine) Cell {
     std::atomic<std::size_t> seq{0};
     Envelope value;
   };
+  static_assert(sizeof(Cell) == kCacheLine, "one ring slot per cache line");
 
   bool ringPush(Envelope& e) {
     const std::size_t mask = cfg_.capacity - 1;
@@ -165,9 +174,9 @@ class Mailbox {
     return true;
   }
 
-  bool ringPop(Envelope& out) {
+  // Pops slot `pos`; the caller (the sole consumer) advances head_.
+  bool ringPop(std::size_t pos, Envelope& out) {
     const std::size_t mask = cfg_.capacity - 1;
-    const std::size_t pos = head_;  // single consumer: plain variable
     Cell& cell = cells_[pos & mask];
     const std::size_t seq = cell.seq.load(std::memory_order_acquire);
     const auto diff = static_cast<std::intptr_t>(seq) -
@@ -177,7 +186,6 @@ class Mailbox {
     out = std::move(cell.value);
     cell.value = Envelope{};  // drop payload refs eagerly
     cell.seq.store(pos + cfg_.capacity, std::memory_order_release);
-    head_ = pos + 1;
     return true;
   }
 
@@ -193,23 +201,28 @@ class Mailbox {
     }
   }
 
+  // Written only by the constructor: every side reads it, nobody
+  // invalidates it.
   MailboxConfig cfg_;
-
   std::vector<Cell> cells_;
-  alignas(64) std::atomic<std::size_t> tail_{0};
-  alignas(64) std::size_t head_ = 0;
 
-  // Blocking-producer parking. mu_ guards no data — it only carries the
-  // condvar waits; the wait/wake counters stay atomic because
-  // wakeProducers reads them without the lock.
-  sync::Mutex mu_{sync::LockRank::kMailboxPark};
-  sync::CondVar cv_not_full_;
-
-  std::atomic<std::uint64_t> pushes_{0};
-  std::atomic<std::uint64_t> pops_{0};
+  // Producer line. tail_ counts every slot ever claimed, i.e. every
+  // accepted push; a refused push bumps the count next to it.
+  alignas(kCacheLine) std::atomic<std::size_t> tail_{0};
   std::atomic<std::uint64_t> full_rejections_{0};
+
+  // Consumer line. head_ counts every pop; atomic only because stats()
+  // and approxSize() read it from other threads. The wait/wake counters
+  // live here because wakeProducers reads both on every batch and only
+  // a blocked driver thread ever bumps blocking_waits_.
+  alignas(kCacheLine) std::atomic<std::size_t> head_{0};
   std::atomic<std::uint64_t> blocking_waits_{0};
   std::atomic<std::uint64_t> blocking_wakes_{0};
+
+  // Blocking-producer parking. mu_ guards no data — it only carries the
+  // condvar waits.
+  alignas(kCacheLine) sync::Mutex mu_{sync::LockRank::kMailboxPark};
+  sync::CondVar cv_not_full_;
 };
 
 }  // namespace loadex::rt

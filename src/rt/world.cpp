@@ -15,6 +15,12 @@ namespace {
 /// buffer size); one shard visit drains as many chunks as the backlog
 /// needs, up to the mailbox's capacity.
 constexpr std::size_t kDrainChunk = 16;
+
+/// One callable per Envelope alternative, for std::visit.
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
 }  // namespace
 
 // ---- RtTransport ----------------------------------------------------------
@@ -118,7 +124,7 @@ void RtWorld::stop() {
   // frozen, so the per-node checks below cannot race a scripted crash.
   if (supervisor_) supervisor_->stop();
   // Publish the countdown before raising stopping_, or a worker could
-  // observe (stopping && remaining == 0) and exit with kStops (and the
+  // observe (stopping && remaining == 0) and exit with Stops (and the
   // envelopes ahead of them) still queued.
   std::int64_t count = 0;
   for (auto& n : nodes_)
@@ -129,9 +135,7 @@ void RtWorld::stop() {
     if (fault_hooks_ && lifeOf(*n) == RankLife::kCrashed)
       continue;  // sealed: nobody consumes there, nothing to stop
     pending_.fetch_add(1, std::memory_order_relaxed);
-    Envelope e;
-    e.kind = Envelope::Kind::kStop;
-    n->mailbox.push(std::move(e));
+    n->mailbox.push(Stop{});
   }
   for (auto& w : workers_)
     if (w.joinable()) w.join();
@@ -204,12 +208,10 @@ void RtWorld::postState(Rank src, Rank dst, core::StateTag tag, Bytes size,
                 "with RtWorld::post instead)");
   ++sender.state_posted;
   sender.state_bytes += size;
-  Envelope e;
-  e.kind = Envelope::Kind::kState;
-  e.msg = sim::Message{src, dst, sim::Channel::kState, static_cast<int>(tag),
-                       size, std::move(payload)};
   pending_.fetch_add(1, std::memory_order_relaxed);
-  sendFromNode(sender, dst, std::move(e));
+  sendFromNode(sender, dst,
+               sim::Message{src, dst, sim::Channel::kState,
+                            static_cast<int>(tag), size, std::move(payload)});
 }
 
 void RtWorld::postStateBroadcast(
@@ -225,13 +227,10 @@ void RtWorld::postStateBroadcast(
   // Counted before the first copy can reach a receiver, so no handler
   // can settle a copy the counter has not seen yet.
   pending_.fetch_add(copies, std::memory_order_relaxed);
-  for (const Rank dst : dsts) {
-    Envelope e;
-    e.kind = Envelope::Kind::kState;
-    e.msg = sim::Message{src, dst, sim::Channel::kState,
-                         static_cast<int>(tag), size, payload};
-    sendFromNode(sender, dst, std::move(e));
-  }
+  for (const Rank dst : dsts)
+    sendFromNode(sender, dst,
+                 sim::Message{src, dst, sim::Channel::kState,
+                              static_cast<int>(tag), size, payload});
 }
 
 void RtWorld::scheduleOnCallingNode(double delay, std::function<void()> fn) {
@@ -244,9 +243,7 @@ void RtWorld::scheduleOnCallingNode(double delay, std::function<void()> fn) {
 void RtWorld::post(Rank r, std::function<void()> fn) {
   LOADEX_EXPECT(started_ && !stopped_, "post() needs a running world");
   task_posted_.fetch_add(1, std::memory_order_relaxed);
-  Envelope e;
-  e.kind = Envelope::Kind::kTask;
-  e.fn = std::move(fn);
+  Envelope e = std::move(fn);
   pending_.fetch_add(1, std::memory_order_relaxed);
   Node& d = node(r);
   if (!fault_hooks_) {
@@ -270,9 +267,7 @@ bool RtWorld::tryPost(Rank r, std::function<void()> fn) {
   LOADEX_EXPECT(started_, "tryPost() needs a started world");
   Node& d = node(r);
   if (fault_hooks_ && lifeOf(d) == RankLife::kCrashed) return false;
-  Envelope e;
-  e.kind = Envelope::Kind::kTask;
-  e.fn = std::move(fn);
+  Envelope e = std::move(fn);
   pending_.fetch_add(1, std::memory_order_relaxed);
   if (!d.mailbox.tryPush(std::move(e))) {
     pending_.fetch_sub(1, std::memory_order_release);
@@ -290,14 +285,11 @@ void RtWorld::postWhenFree(Rank r, std::function<void()> fn, double retry_s) {
 
 void RtWorld::postTask(Rank from, Rank to, std::function<void()> fn) {
   task_posted_.fetch_add(1, std::memory_order_relaxed);
-  Envelope e;
-  e.kind = Envelope::Kind::kTask;
-  e.fn = std::move(fn);
   pending_.fetch_add(1, std::memory_order_relaxed);
   Node& src = node(from);
   LOADEX_EXPECT(&callingNode() == &src,
                 "postTask must run inside the `from` rank");
-  sendFromNode(src, to, std::move(e));
+  sendFromNode(src, to, std::move(fn));
 }
 
 // ---- sending + fault injection --------------------------------------------
@@ -305,7 +297,7 @@ void RtWorld::postTask(Rank from, Rank to, std::function<void()> fn) {
 void RtWorld::noteDropped(const Envelope& e,
                           std::atomic<std::int64_t>& reason) {
   reason.fetch_add(1, std::memory_order_relaxed);
-  (e.kind == Envelope::Kind::kState ? state_dropped_ : task_dropped_)
+  (std::holds_alternative<sim::Message>(e) ? state_dropped_ : task_dropped_)
       .fetch_add(1, std::memory_order_relaxed);
   pending_.fetch_sub(1, std::memory_order_release);
 }
@@ -319,7 +311,7 @@ void RtWorld::sendFromNode(Node& src, Rank dst, Envelope&& e) {
 }
 
 void RtWorld::sendFromNodeFaulty(Node& src, Rank dst, Envelope&& e) {
-  const bool is_state = e.kind == Envelope::Kind::kState;
+  const bool is_state = std::holds_alternative<sim::Message>(e);
   const auto& fp = cfg_.faults.messages;
   SimTime hold = 0.0;
   bool duplicate = false;
@@ -519,7 +511,7 @@ void RtWorld::sweepMailboxLocked(Node& n) {
   n.shard->mu.assertHeld();  // the sweeper must be the unique consumer
   Envelope e;
   while (n.mailbox.tryPop(e)) {
-    if (e.kind == Envelope::Kind::kStop) {
+    if (std::holds_alternative<Stop>(e)) {
       pending_.fetch_sub(1, std::memory_order_release);
       continue;
     }
@@ -628,7 +620,7 @@ void RtWorld::processShardNode(Shard& sh, Node& n,
     if (life == RankLife::kCrashed) return;  // sealed: driver tore it down
     if (life == RankLife::kPaused) {
       // Parked: consume nothing until resumed — except during stop,
-      // when the kStop must drain.
+      // when the Stop must drain.
       if (!stopping_.load(std::memory_order_acquire)) return;
     } else {
       n.heartbeat.store(clock_.now(), std::memory_order_relaxed);
@@ -658,29 +650,32 @@ void RtWorld::processShardNode(Shard& sh, Node& n,
     taken += k;
     for (std::size_t i = 0; i < k; ++i) {
       Envelope& e = scratch[i];
-      switch (e.kind) {
-        case Envelope::Kind::kState:
-          ++n.delivered_state;
-          LOADEX_EXPECT(n.handler != nullptr,
-                        "state message with no handler");
-          n.handler->onStateMessage(e.msg);
-          break;
-        case Envelope::Kind::kTask:
-          ++n.delivered_task;
-          e.fn();
-          break;
-        case Envelope::Kind::kStop:
-          // Mark the rank done but deliver the rest of the backlog — an
-          // envelope behind a kStop only exists on undrained stops, and
-          // delivering beats stranding it. The stop protocol needs this
-          // one settled now, not at the end of the visit.
-          n.stopped = true;
-          pending_.fetch_sub(1, std::memory_order_release);
-          stops_remaining_.fetch_sub(1, std::memory_order_release);
-          e = Envelope{};
-          continue;
-      }
-      ++ran;
+      std::visit(Overloaded{
+                     [&](const sim::Message& m) {
+                       ++n.delivered_state;
+                       LOADEX_EXPECT(n.handler != nullptr,
+                                     "state message with no handler");
+                       n.handler->onStateMessage(m);
+                       ++ran;
+                     },
+                     [&](std::function<void()>& fn) {
+                       ++n.delivered_task;
+                       fn();
+                       ++ran;
+                     },
+                     [&](Stop) {
+                       // Mark the rank done but deliver the rest of the
+                       // backlog — an envelope behind a Stop only exists
+                       // on undrained stops, and delivering beats
+                       // stranding it. The stop protocol needs this one
+                       // settled now, not at the end of the visit.
+                       n.stopped = true;
+                       pending_.fetch_sub(1, std::memory_order_release);
+                       stops_remaining_.fetch_sub(1,
+                                                  std::memory_order_release);
+                     },
+                 },
+                 e);
       e = Envelope{};  // drop payload/closure refs eagerly
     }
   }

@@ -38,7 +38,7 @@
 //     visit settles once, for every timer and handler it ran, after the
 //     last of them returned. Both only delay the decrement relative to
 //     per-envelope accounting, so pending never reads a false zero. A
-//     kStop settles at once (the stop protocol counts on it), and every
+//     Stop settles at once (the stop protocol counts on it), and every
 //     fault path that discards an envelope still settles it singly.
 //
 // Fault injection (rt/faults.h) extends both rules to an unreliable
@@ -299,7 +299,7 @@ class RtWorld {
     /// The shard that owns this rank (fixed at start(); holding
     /// shard->mu is what owning the node means).
     Shard* shard = nullptr;
-    /// This rank consumed its kStop (guarded by the shard mutex —
+    /// This rank consumed its Stop (guarded by the shard mutex —
     /// workers skip the rank from then on).
     bool stopped = false;
     /// Per-destination spill queues (sender side), touched only by the
@@ -424,9 +424,9 @@ class RtWorld {
   std::vector<std::thread> workers_;
   int n_workers_ = 0;  ///< resolved pool size
   int n_shards_ = 0;
-  /// Stop-protocol countdown: set to the number of kStop envelopes
+  /// Stop-protocol countdown: set to the number of Stop envelopes
   /// before stopping_ is raised; workers exit only once every one has
-  /// been consumed, so no kStop (or envelope ahead of it) is stranded.
+  /// been consumed, so no Stop (or envelope ahead of it) is stranded.
   std::atomic<std::int64_t> stops_remaining_{0};
   bool started_ = false;
   bool stopped_ = false;
@@ -439,7 +439,7 @@ class RtWorld {
   /// member directly — the lifecycle states are per-node atomics — but
   /// mutual exclusion makes each transition's seal/teardown/sweep atomic.
   mutable sync::Mutex lifecycle_mu_{sync::LockRank::kLifecycle};
-  /// Raised by stop(): paused ranks get visited again so the kStop can
+  /// Raised by stop(): paused ranks get visited again so the Stop can
   /// drain.
   std::atomic<bool> stopping_{false};
 

@@ -11,6 +11,7 @@
 #include <limits>
 #include <map>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "rt/clock.h"
@@ -24,21 +25,19 @@ namespace loadex::rt {
 namespace {
 
 Envelope taskEnvelope(std::function<void()> fn = {}) {
-  Envelope e;
-  e.kind = Envelope::Kind::kTask;
-  e.fn = std::move(fn);
-  return e;
+  return Envelope{std::move(fn)};
 }
 
-/// Envelope carrying (producer, sequence) in the message header so the
-/// consumer can check per-producer FIFO.
+/// State envelope carrying (producer, sequence) in the message header so
+/// the consumer can check per-producer FIFO.
 Envelope tagged(int producer, int seq) {
-  Envelope e;
-  e.kind = Envelope::Kind::kState;
-  e.msg.src = producer;
-  e.msg.tag = seq;
-  return e;
+  sim::Message m;
+  m.src = producer;
+  m.tag = seq;
+  return m;
 }
+
+int tagOf(const Envelope& e) { return std::get<sim::Message>(e).tag; }
 
 MailboxConfig config(std::size_t capacity) {
   MailboxConfig cfg;
@@ -69,7 +68,7 @@ TEST(Mailbox, SingleProducerFifo) {
   Envelope e;
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(mb.tryPop(e));
-    EXPECT_EQ(e.msg.tag, i);
+    EXPECT_EQ(tagOf(e), i);
   }
   EXPECT_FALSE(mb.tryPop(e));
   const MailboxStats s = mb.stats();
@@ -87,11 +86,11 @@ TEST(Mailbox, TryPushRejectsWhenFull) {
   // Popping one frees one slot, and FIFO order survives the full episode.
   Envelope e;
   ASSERT_TRUE(mb.tryPop(e));
-  EXPECT_EQ(e.msg.tag, 0);
+  EXPECT_EQ(tagOf(e), 0);
   ASSERT_TRUE(mb.tryPush(tagged(0, 4)));
   for (int want = 1; want <= 4; ++want) {
     ASSERT_TRUE(mb.tryPop(e));
-    EXPECT_EQ(e.msg.tag, want);
+    EXPECT_EQ(tagOf(e), want);
   }
 }
 
@@ -117,8 +116,9 @@ TEST(Mailbox, MultiProducerPreservesPerProducerFifo) {
     const std::size_t k = mb.tryPopBatch(batch.data(), batch.size());
     if (k == 0) std::this_thread::yield();
     for (std::size_t i = 0; i < k; ++i) {
-      const int p = batch[i].msg.src;
-      EXPECT_EQ(batch[i].msg.tag, next_seq[p])
+      const sim::Message& m = std::get<sim::Message>(batch[i]);
+      const int p = m.src;
+      EXPECT_EQ(m.tag, next_seq[p])
           << "producer " << p << " reordered";
       ++next_seq[p];
       ++received;
@@ -145,13 +145,13 @@ TEST(Mailbox, BlockingPushCompletesOnceConsumerDrains) {
 
   Envelope e;
   ASSERT_TRUE(popWithin(mb, e, 10.0));
-  EXPECT_EQ(e.msg.tag, 0);
+  EXPECT_EQ(tagOf(e), 0);
   producer.join();
   EXPECT_TRUE(pushed.load());
   ASSERT_TRUE(popWithin(mb, e, 10.0));
-  EXPECT_EQ(e.msg.tag, 1);
+  EXPECT_EQ(tagOf(e), 1);
   ASSERT_TRUE(popWithin(mb, e, 10.0));
-  EXPECT_EQ(e.msg.tag, 2);
+  EXPECT_EQ(tagOf(e), 2);
 }
 
 // The executor's shard drain (tryPopBatch) must be observationally
@@ -174,11 +174,11 @@ TEST(Mailbox, TryPopBatchMatchesSinglePopSequence) {
   for (const std::size_t max : batch_sizes) {
     const std::size_t k = batched.tryPopBatch(scratch.data(), max);
     EXPECT_LE(k, max);
-    for (std::size_t i = 0; i < k; ++i) batch_tags.push_back(scratch[i].msg.tag);
+    for (std::size_t i = 0; i < k; ++i) batch_tags.push_back(tagOf(scratch[i]));
   }
   std::vector<int> single_tags;
   Envelope e;
-  while (singly.tryPop(e)) single_tags.push_back(e.msg.tag);
+  while (singly.tryPop(e)) single_tags.push_back(tagOf(e));
 
   EXPECT_EQ(batch_tags, single_tags);
   ASSERT_EQ(static_cast<int>(batch_tags.size()), kMsgs);
@@ -194,9 +194,45 @@ TEST(Mailbox, TaskEnvelopesCarryTheirClosure) {
   ASSERT_TRUE(mb.tryPush(taskEnvelope([&ran] { ++ran; })));
   Envelope e;
   ASSERT_TRUE(mb.tryPop(e));
-  ASSERT_EQ(e.kind, Envelope::Kind::kTask);
-  e.fn();
+  ASSERT_TRUE(std::holds_alternative<std::function<void()>>(e));
+  std::get<std::function<void()>>(e)();
   EXPECT_EQ(ran, 1);
+}
+
+// The push count is the tail cursor, so it must count exactly the
+// accepted pushes: a refused tryPush claims no slot and shows up only in
+// full_rejections.
+TEST(Mailbox, StatsCountOnlyAcceptedPushes) {
+  constexpr int kProducers = 2;
+  constexpr int kEach = 100;
+  Mailbox mb(config(64));  // no consumer: 136 of the 200 pushes must fail
+  std::atomic<int> accepted{0};
+  std::atomic<int> refused{0};
+  std::vector<std::thread> producers;
+  producers.reserve(kProducers);
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kEach; ++i)
+        (mb.tryPush(tagged(p, i)) ? accepted : refused).fetch_add(1);
+    });
+  }
+  for (auto& t : producers) t.join();
+
+  ASSERT_EQ(accepted.load(), 64);
+  EXPECT_EQ(refused.load(), kProducers * kEach - 64);
+  MailboxStats s = mb.stats();
+  EXPECT_EQ(s.pushes, static_cast<std::uint64_t>(accepted.load()));
+  EXPECT_EQ(s.full_rejections, static_cast<std::uint64_t>(refused.load()));
+  EXPECT_EQ(s.pops, 0u);
+  EXPECT_EQ(mb.approxSize(), 64u);
+
+  // Popping moves the head only; the occupancy stays exact.
+  std::vector<Envelope> batch(16);
+  ASSERT_EQ(mb.tryPopBatch(batch.data(), batch.size()), 16u);
+  s = mb.stats();
+  EXPECT_EQ(s.pushes, 64u);
+  EXPECT_EQ(s.pops, 16u);
+  EXPECT_EQ(mb.approxSize(), 48u);
 }
 
 // ---- timer wheel ----------------------------------------------------------
@@ -330,6 +366,60 @@ TEST(SpillQueue, BurstySendersOverflowWithoutLossOrReordering) {
     EXPECT_EQ(seq, next_seq[src]) << "reordered stream from P" << src;
     next_seq[src] = seq + 1;
   }
+}
+
+/// Logs what reaches the receiving rank, state messages (by their size
+/// field) and closures (by the number they carry) in one arrival order;
+/// touched only by that rank's owner, read after stop().
+struct ArrivalLog final : sim::StateHandler {
+  std::vector<Bytes> order;
+  void onStateMessage(const sim::Message& m) override {
+    order.push_back(m.size);
+  }
+};
+
+// Both Envelope alternatives a rank sends take the same detours: one
+// worker and a 4-slot mailbox push all but the first few envelopes of an
+// interleaved task/state stream through the sender's spill queue, and a
+// duplicate-every-message plan makes each one a copied Envelope that
+// rides right behind its original. Every item must arrive twice, back to
+// back, in send order.
+TEST(SpillQueue, TasksAndStateMessagesKeepFifoThroughSpillAndDuplicates) {
+  constexpr int kItems = 400;  // even items are state messages, odd tasks
+  RtConfig cfg;
+  cfg.nprocs = 2;
+  cfg.mailbox.capacity = 4;
+  cfg.executor.workers = 1;  // the receiver cannot drain mid-burst
+  cfg.faults.messages.duplicate_prob = 1.0;
+  RtWorld world(cfg);
+  std::vector<core::Transport*> tp = world.transports();
+
+  ArrivalLog log;
+  world.attach(1, &log);
+  world.start();
+  world.post(0, [&world, &tp, &log] {
+    for (int i = 0; i < kItems; ++i) {
+      if (i % 2 == 0)
+        tp[0]->sendState(1, core::StateTag::kUpdateAbsolute, /*size=*/i,
+                         nullptr);
+      else
+        world.postTask(0, 1, [&log, i] { log.order.push_back(i); });
+    }
+  });
+  ASSERT_TRUE(world.drain(60.0));
+  world.stop();
+
+  const RtRunStats st = world.runStats();
+  EXPECT_GE(st.spill_enqueues, kItems);
+  EXPECT_EQ(st.state_duplicated, kItems / 2);
+  EXPECT_EQ(st.task_duplicated, kItems / 2);
+  EXPECT_EQ(st.state_delivered, kItems);
+  EXPECT_EQ(st.task_delivered, 1 + kItems);  // + the driver's closure
+  EXPECT_EQ(st.state_dropped + st.task_dropped, 0);
+
+  std::vector<Bytes> want;
+  for (int i = 0; i < kItems; ++i) want.insert(want.end(), {i, i});
+  EXPECT_EQ(log.order, want);
 }
 
 }  // namespace
