@@ -30,7 +30,6 @@
 //                          member ranks' mailboxes, wheels and spill.
 //                          Handlers run under it, so it sits below every
 //                          lock a handler may take
-//   kWorkloadTally   (10)  WorkloadDriver tallies — leaf from driver side
 //   kSvcLedger       (15)  svc request ledger; tight scopes only, never
 //                          held across a mechanism or transport call
 //   kLifecycle       (20)  RtWorld crash/restart/sweep transitions
@@ -43,10 +42,10 @@
 //
 // Owner-confined state is not locked at all. An rt node's timer wheel and
 // spill queues belong to whoever holds its shard lock (checked with
-// assertHeld); thread-confined state (the supervisor's suspicion table, a
-// net event loop's timer wheel) is marked with LOADEX_THREAD_CONFINED and
-// asserts, in debug builds, that every touch comes from the thread it is
-// bound to.
+// assertHeld), and so do the replay core's per-master tallies; thread-
+// confined state (the supervisor's suspicion table, a net event loop's
+// timer wheel) is marked with LOADEX_THREAD_CONFINED and asserts, in debug
+// builds, that every touch comes from the thread it is bound to.
 #pragma once
 
 #include <atomic>
@@ -130,7 +129,6 @@ namespace loadex::sync {
 /// loadex-lint parses this enum to drive the `lock-hierarchy` rule.
 enum class LockRank : int {
   kShard = 5,
-  kWorkloadTally = 10,
   kSvcLedger = 15,
   kLifecycle = 20,
   kMailboxPark = 30,

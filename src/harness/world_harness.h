@@ -5,7 +5,8 @@
 // and scheduling helpers that respect snapshot blocking. This header is the
 // single home for that scaffolding — tests/sim_test_utils.h re-exports it
 // under the historical loadex::test names, and the scale benches build
-// their synthetic workloads on top of it.
+// their synthetic workloads on top of it. SimReplay is the simulator's host
+// for the shared script replay core (harness/replay.h).
 #pragma once
 
 #include <deque>
@@ -18,6 +19,7 @@
 #include "core/audit.h"
 #include "core/binding.h"
 #include "core/mechanism.h"
+#include "harness/replay.h"
 #include "sim/application.h"
 #include "sim/world.h"
 
@@ -148,5 +150,43 @@ inline void sendWork(sim::Process& from, Rank to, Flops work,
   payload->is_slave_delegated = is_slave_delegated;
   from.send(to, sim::Channel::kApp, kWorkTag, size, std::move(payload));
 }
+
+/// The sim host of the replay core: each op runs at its script time, and a
+/// delegated share travels as a WorkPayload of share·1e3 flops. Construct
+/// before run(); read tally() after it.
+class SimReplay {
+ public:
+  SimReplay(CoreHarness& h, const Script& script)
+      : h_(h), replay_(*this, script) {
+    if (!replay_.done()) scheduleNext();
+  }
+  SimReplay(const SimReplay&) = delete;  // scheduled closures hold `this`
+  SimReplay& operator=(const SimReplay&) = delete;
+
+  const SelectionTally& tally(Rank r) const { return replay_.tally(r); }
+
+  template <typename Fn>
+  void runNow(Rank r, Fn fn) { fn(h_.mechs.at(r)); }
+  template <typename Fn>
+  void runWhenFree(Rank r, Fn fn) {
+    h_.atWhenFree(now(), r, [this, r, fn] { fn(h_.mechs.at(r)); });
+  }
+  void delegate(Rank master, Rank slave, double share) {
+    sendWork(h_.world.process(master), slave, /*work=*/share * 1e3,
+             {share, 0.0}, /*is_slave_delegated=*/true);
+  }
+  SimTime now() const { return h_.world.now(); }
+
+ private:
+  void scheduleNext() {
+    h_.at(replay_.nextTime(), [this] {
+      replay_.applyNext();
+      if (!replay_.done()) scheduleNext();
+    });
+  }
+
+  CoreHarness& h_;
+  ScriptReplay<SimReplay> replay_;
+};
 
 }  // namespace loadex::harness

@@ -12,10 +12,9 @@
 // protocol-level sequence numbers of the hardened increment stream.
 //
 // State-channel bodies are [u8 StateTag][per-tag fields]; the per-tag
-// encoders/decoders dispatch exhaustively over core::StateTag — the
-// loadex-lint `wirecodec-exhaustive` rule cross-checks both switch
-// statements against the enum, so adding a tag without teaching the wire
-// about it fails CI, not a live socket.
+// encoders/decoders dispatch over core::StateTag in switches without a
+// default:, so -Werror=switch turns a tag the wire was not taught into a
+// build error, not a live-socket failure.
 //
 // All codecs are explicit little-endian via memcpy (no struct punning, no
 // host-order assumptions), and the reader is bounds-checked: a truncated

@@ -27,7 +27,6 @@ std::uint32_t tokIdx(std::uint64_t t) {
 
 constexpr double kConnectBackoffMinS = 1e-3;
 constexpr double kConnectBackoffMaxS = 0.2;
-constexpr double kBlockedSelectRetryS = 1e-4;
 
 }  // namespace
 
@@ -469,7 +468,7 @@ void NetWorld::sendState(Rank dst, core::StateTag tag, Bytes size,
   }
 }
 
-void NetWorld::sendWork(Rank dst, const core::LoadMetrics& share) {
+void NetWorld::delegate(Rank /*master: this rank*/, Rank dst, double share) {
   LOADEX_ASSERT_CONFINED(confined_);
   ++stats_.work.posted;
   const FaultPlan& plan = cfg_.opts.faults;
@@ -487,9 +486,9 @@ void NetWorld::sendWork(Rank dst, const core::LoadMetrics& share) {
   }
   for (int i = 0; i < copies; ++i) {
     enqueueFrame(dst, FrameKind::kWork,
-                 [&share](WireWriter& w) {
-                   w.f64(share.workload);
-                   w.f64(share.memory);
+                 [share](WireWriter& w) {
+                   w.f64(share);
+                   w.f64(0.0);  // memory
                  },
                  /*count_mesh=*/true);
   }
@@ -576,79 +575,45 @@ bool NetWorld::setup() {
 
 // ---- replay ---------------------------------------------------------------
 
-void NetWorld::buildOps(const harness::Script& script) {
-  for (const auto& op : script.loads)
-    if (op.rank == cfg_.self)
-      ops_.push_back({op.time, Op::Kind::kLoad, op.delta, 0.0});
-  for (const auto& op : script.selections)
-    if (op.master == cfg_.self)
-      ops_.push_back({op.time, Op::Kind::kSelect, {}, op.share});
-  if (script.no_more_master == cfg_.self)
-    ops_.push_back(
-        {script.no_more_master_at, Op::Kind::kNoMoreMaster, {}, 0.0});
-  std::stable_sort(ops_.begin(), ops_.end(),
-                   [](const Op& a, const Op& b) { return a.time < b.time; });
+template <typename Fn>
+void NetWorld::runNow(Rank r, Fn fn) {
+  LOADEX_EXPECT(r == cfg_.self, "net replay names a foreign rank");
+  fn(*mech_);
 }
 
-void NetWorld::advanceOps() {
-  if (advancing_ || !go_received_ || stop_received_) return;
-  advancing_ = true;
-  while (op_cursor_ < ops_.size()) {
-    const Op& op = ops_[op_cursor_];
-    if (cfg_.opts.time_scale > 0.0 &&
-        clock_.now() - go_time_ < op.time * cfg_.opts.time_scale)
-      break;
-    if (op.kind == Op::Kind::kSelect) {
-      if (sel_pending_) break;
-      if (mech_->blocksComputation()) {
-        // Frozen by a snapshot: retry once the freeze lifts. The timer
-        // keeps the wheel pending, so quiescence waits for this op.
-        timers_.schedule(clock_.now(), kBlockedSelectRetryS,
-                         [this] { advanceOps(); });
-        break;
-      }
-      const double share = op.share;
-      ++op_cursor_;
-      startSelection(share);
-      continue;
-    }
-    if (op.kind == Op::Kind::kLoad) {
-      mech_->addLocalLoad(op.delta, false);
-    } else {
-      mech_->noMoreMaster();
-    }
-    ++op_cursor_;
+template <typename Fn>
+void NetWorld::runWhenFree(Rank r, Fn fn) {
+  runFreed();  // earlier waiters go first
+  if (mech_->blocksComputation()) {
+    frozen_ops_.push_back([this, r, fn = std::move(fn)] { runNow(r, fn); });
+    return;
   }
-  advancing_ = false;
-  maybeSendDone();
+  runNow(r, std::move(fn));
 }
 
-void NetWorld::startSelection(double share) {
-  sel_pending_ = true;
-  mech_->requestView([this, share](const core::LoadView& view) {
-    const Rank slave = harness::leastLoadedSlave(view, cfg_.self);
-    if (slave == kNoRank) {
-      ++skipped_;
-      mech_->commitSelection({});
-    } else {
-      ++committed_;
-      const core::LoadMetrics assigned{share, 0.0};
-      mech_->commitSelection({{slave, assigned}});
-      sendWork(slave, assigned);
-    }
-    sel_pending_ = false;
-    advanceOps();
-  });
+void NetWorld::runFreed() {
+  while (!frozen_ops_.empty() && !mech_->blocksComputation()) {
+    const std::function<void()> op = std::move(frozen_ops_.front());
+    frozen_ops_.pop_front();
+    op();
+  }
 }
 
-void NetWorld::maybeSendDone() {
-  if (done_sent_ || op_cursor_ < ops_.size() || sel_pending_) return;
+void NetWorld::advanceReplay() {
+  if (!go_received_ || stop_received_ || done_sent_) return;
+  while (!replay_->done()) {
+    if (cfg_.opts.time_scale > 0.0 &&
+        clock_.now() - go_time_ < replay_->nextTime() * cfg_.opts.time_scale)
+      return;
+    replay_->applyNext();
+  }
   done_sent_ = true;
   sendCtl(FrameKind::kDone);
 }
 
 bool NetWorld::idle() const {
-  if (!done_sent_ || sel_pending_ || timers_.pending() != 0) return false;
+  if (!done_sent_ || !frozen_ops_.empty() || timers_.pending() != 0)
+    return false;
   for (const auto& c : out_)
     if (!c.buf.empty()) return false;
   return true;
@@ -695,10 +660,9 @@ int NetWorld::loopTimeoutMs() const {
     const double hb = next_ping_deadline_ - now;
     if (hb < wait_s) wait_s = std::max(hb, 0.0);
   }
-  if (cfg_.opts.time_scale > 0.0 && go_received_ &&
-      op_cursor_ < ops_.size()) {
+  if (cfg_.opts.time_scale > 0.0 && go_received_ && !replay_->done()) {
     const double op =
-        go_time_ + ops_[op_cursor_].time * cfg_.opts.time_scale - now;
+        go_time_ + replay_->nextTime() * cfg_.opts.time_scale - now;
     if (op < wait_s) wait_s = std::max(op, 0.0);
   }
   return static_cast<int>(wait_s * 1e3) + (wait_s > 0.0 ? 1 : 0);
@@ -738,7 +702,8 @@ void NetWorld::pollOnce(int timeout_ms) {
   if (cfg_.opts.heartbeat.enabled() && go_received_ && !stop_received_ &&
       clock_.now() >= next_ping_deadline_)
     heartbeatTick();
-  advanceOps();
+  runFreed();
+  advanceReplay();
   flushPending();
 }
 
@@ -746,7 +711,8 @@ int NetWorld::run(const harness::Script& script,
                   core::ProtocolAuditor* auditor) {
   LOADEX_EXPECT(mech_ != nullptr, "NetWorld::run without a bound mechanism");
   auditor_ = auditor;
-  buildOps(script);
+  replay_ = std::make_unique<harness::ScriptReplay<NetWorld>>(*this, script,
+                                                              cfg_.self);
   const double deadline = clock_.now() + cfg_.opts.run_timeout_s;
   while (!stop_received_) {
     if (clock_.now() > deadline) {
@@ -791,10 +757,11 @@ void NetWorld::sendSummary() {
     if (!auditor_->violations().empty())
       first_violation = auditor_->violations().front().substr(0, 200);
   }
+  const harness::SelectionTally& tally = replay_->tally(cfg_.self);
   sendCtl(FrameKind::kSummary, [&](WireWriter& w) {
     w.u32(static_cast<std::uint32_t>(cfg_.self));
-    w.u64(static_cast<std::uint64_t>(committed_));
-    w.u64(static_cast<std::uint64_t>(skipped_));
+    w.u64(static_cast<std::uint64_t>(tally.committed));
+    w.u64(static_cast<std::uint64_t>(tally.skipped));
     w.f64(load.workload);
     w.f64(load.memory);
     w.u64(static_cast<std::uint64_t>(ms.messagesSent()));

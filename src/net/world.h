@@ -24,9 +24,15 @@
 // batch instead of one per message. The per-message-flush arm
 // (coalesce = false) is the baseline bench_net_localhost compares
 // against.
+//
+// Replay: the NetWorld is the host of the shared replay core
+// (harness/replay.h) for its own rank's ops. A selection or No_more_master
+// that finds the mechanism frozen by a snapshot waits in frozen_ops_ and
+// runs on the loop pass that sees the freeze lift; later ops never wait.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -38,7 +44,7 @@
 #include "common/types.h"
 #include "core/audit.h"
 #include "core/mechanism.h"
-#include "harness/script.h"
+#include "harness/replay.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "rt/clock.h"
@@ -130,10 +136,6 @@ class NetWorld final : public core::Transport {
                  std::shared_ptr<const sim::Payload> payload) override;
   void schedule(SimTime delay, std::function<void()> fn) override;
 
-  /// Send a master's delegated share to the chosen slave (application
-  /// channel; the receiver applies addLocalLoad(share, true)).
-  void sendWork(Rank dst, const core::LoadMetrics& share);
-
   /// Bind the rank's mechanism; must happen before run().
   void bind(core::Mechanism* mech) { mech_ = mech; }
 
@@ -168,15 +170,6 @@ class NetWorld final : public core::Transport {
     std::uint32_t expect_seq = 1;
   };
 
-  /// A script op in per-rank replay order.
-  struct Op {
-    enum class Kind { kLoad, kSelect, kNoMoreMaster };
-    SimTime time = 0.0;
-    Kind kind = Kind::kLoad;
-    core::LoadMetrics delta;  ///< kLoad
-    double share = 0.0;       ///< kSelect
-  };
-
   // -- connection lifecycle --
   bool openListener();
   bool connectSupervisor();
@@ -200,11 +193,19 @@ class NetWorld final : public core::Transport {
   void handleCtlFrame(const FrameView& f);
   void noteHeardFrom(Rank peer);
 
-  // -- replay --
-  void buildOps(const harness::Script& script);
-  void advanceOps();
-  void startSelection(double share);
-  void maybeSendDone();
+  // -- replay: the core's host seam (r is always this rank) --
+  friend class harness::ScriptReplay<NetWorld>;
+  template <typename Fn>
+  void runNow(Rank r, Fn fn);
+  template <typename Fn>
+  void runWhenFree(Rank r, Fn fn);
+  /// The share travels to the slave on the application channel (kWork);
+  /// the receiver applies addLocalLoad(share, true).
+  void delegate(Rank master, Rank slave, double share);
+  /// Run the frozen_ops_ the mechanism no longer blocks, in order.
+  void runFreed();
+  /// Apply every op that is due, then send Done once the slice is spent.
+  void advanceReplay();
   bool idle() const;
 
   // -- timers / heartbeat --
@@ -212,7 +213,7 @@ class NetWorld final : public core::Transport {
   int loopTimeoutMs() const;
 
   /// One event-loop iteration: epoll dispatch, due timers, heartbeat,
-  /// script advance, coalesced flush. Shared by setup (mesh rendezvous)
+  /// replay advance, coalesced flush. Shared by setup (mesh rendezvous)
   /// and run (steady state).
   void pollOnce(int timeout_ms);
 
@@ -237,17 +238,13 @@ class NetWorld final : public core::Transport {
   core::ProtocolAuditor* auditor_ = nullptr;
 
   // replay state
-  std::vector<Op> ops_;
-  std::size_t op_cursor_ = 0;
+  std::unique_ptr<harness::ScriptReplay<NetWorld>> replay_;
+  std::deque<std::function<void()>> frozen_ops_;  ///< runWhenFree, waiting
   bool go_received_ = false;
   double go_time_ = 0.0;
-  bool advancing_ = false;  ///< re-entry guard: synchronous view callbacks
-  bool sel_pending_ = false;
   bool done_sent_ = false;
   bool stop_received_ = false;
   bool supervisor_lost_ = false;
-  std::int64_t committed_ = 0;
-  std::int64_t skipped_ = 0;
 
   // failure detector state
   std::vector<double> last_rx_;

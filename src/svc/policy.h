@@ -4,10 +4,9 @@
 // reference policies implemented right here, plus the paper's three load
 // information exchange mechanisms (those dispatch through the Mechanism
 // seam — requestView / leastLoadedSlave / commitSelection — not through
-// DispatchPolicy; see service_app.h). loadex-lint rule
-// `policykind-exhaustive` checks that policyKindName and makePolicy
-// dispatch over every enumerator, so adding a policy without wiring it
-// everywhere is a lint failure.
+// DispatchPolicy; see svc::Dispatcher). policyKindName and makePolicy
+// switch over every enumerator without a default:, so -Werror=switch makes
+// a policy that is not wired everywhere a build error.
 //
 // The reference policies:
 //   random            — uniform over alive servers; the no-information

@@ -2,133 +2,14 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <deque>
 #include <memory>
-#include <vector>
 
 #include "common/expect.h"
-#include "harness/replay.h"
 #include "rt/audit_lock.h"
 #include "rt/clock.h"
 #include "rt/supervisor.h"
 
 namespace loadex::svc {
-
-namespace {
-
-/// Dispatcher state, confined to rank 0's owner: every member is
-/// only touched from closures posted to rank 0 (arrivals from the
-/// driver thread, view callbacks from rank 0's own message handling).
-/// The ledger is the one cross-thread structure and locks internally.
-class RtDispatcher {
- public:
-  RtDispatcher(const SvcRtConfig& cfg, const ArrivalScript& script,
-               SvcLedger& ledger, rt::RtWorld& world,
-               core::MechanismSet* mechs)
-      : script_(script),
-        ledger_(ledger),
-        world_(world),
-        mechs_(mechs),
-        policy_rng_(cfg.policy_seed) {
-    if (!policyUsesMechanism(cfg.policy))
-      policy_ = makePolicy(cfg.policy, cfg.stale_refresh_s);
-  }
-
-  /// Entry point of the closure the driver posts per arrival.
-  void arrive(std::size_t idx) {
-    const Arrival& a = script_.arrivals[idx];
-    ledger_.arrived(a.id, world_.now());
-    digest_.fold(a);
-    pending_.push_back(idx);
-    dispatchPending();
-  }
-
-  std::uint64_t digestValue() const { return digest_.value(); }
-
- private:
-  void dispatchPending() {
-    if (draining_) return;  // the active loop below picks the request up
-    draining_ = true;
-    while (!pending_.empty()) {
-      if (mechs_ != nullptr && view_in_flight_) break;
-      const std::size_t idx = pending_.front();
-      pending_.pop_front();
-      const Arrival& a = script_.arrivals[idx];
-      if (mechs_ != nullptr) {
-        dispatchViaMechanism(a);
-      } else {
-        dispatchDirect(a);
-      }
-    }
-    draining_ = false;
-  }
-
-  void dispatchDirect(const Arrival& a) {
-    ledger_.snapshotBoard(board_scratch_);
-    DispatchContext ctx;
-    ctx.servers = &board_scratch_;
-    ctx.self = 0;
-    ctx.now = world_.now();
-    const Rank server = policy_->choose(ctx, policy_rng_);
-    if (server == kNoRank) {
-      ledger_.dropped(a.id, DropCause::kNoCandidate, ctx.now);
-      return;
-    }
-    sendRequest(a, server, policy_->lastInfoAge());
-  }
-
-  void dispatchViaMechanism(const Arrival& a) {
-    view_in_flight_ = true;
-    core::Mechanism& m = mechs_->at(0);
-    harness::selectAndCommit(
-        m, {a.work, 0.0},
-        [this, a](const core::LoadView& v, Rank slave) {
-          sendRequest(a, slave, world_.now() - v.lastHeardFrom(slave));
-          view_in_flight_ = false;
-          dispatchPending();
-        },
-        [this, a](const core::LoadView&) {
-          ledger_.dropped(a.id, DropCause::kNoCandidate, world_.now());
-          view_in_flight_ = false;
-          dispatchPending();
-        });
-  }
-
-  void sendRequest(const Arrival& a, Rank server, double info_age) {
-    ledger_.dispatched(a.id, server, a.work, world_.now(), info_age);
-    // The request travels as a task envelope; a sealed (crashed)
-    // destination drops it, which finalize() later books as kLost. The
-    // serve closure runs on the server's thread: enqueue, start and
-    // complete land back to back — the rt sojourn is dispatch +
-    // transport latency, there is no simulated compute burn.
-    world_.postTask(0, server, [this, id = a.id, w = a.work, server] {
-      if (ledger_.terminal(id)) return;  // zombie past a crash window
-      const SimTime t = world_.now();
-      ledger_.enqueued(id, t);
-      if (mechs_ != nullptr)
-        mechs_->at(server).addLocalLoad({w, 0.0},
-                                        /*is_slave_delegated=*/true);
-      ledger_.started(id, world_.now());
-      ledger_.completed(id, world_.now());
-      if (mechs_ != nullptr) mechs_->at(server).addLocalLoad({-w, 0.0});
-    });
-  }
-
-  const ArrivalScript& script_;
-  SvcLedger& ledger_;
-  rt::RtWorld& world_;
-  core::MechanismSet* mechs_;
-
-  std::unique_ptr<DispatchPolicy> policy_;  ///< reference policies only
-  Rng policy_rng_;
-  std::deque<std::size_t> pending_;
-  bool view_in_flight_ = false;
-  bool draining_ = false;
-  std::vector<ServerStat> board_scratch_;
-  ArrivalDigest digest_;
-};
-
-}  // namespace
 
 SvcRtResult runSvcRt(const SvcRtConfig& cfg, const ArrivalScript& script) {
   LOADEX_EXPECT(cfg.nprocs >= 2, "svc needs a dispatcher and a server");
@@ -167,7 +48,28 @@ SvcRtResult runSvcRt(const SvcRtConfig& cfg, const ArrivalScript& script) {
 
   SvcLedger ledger(static_cast<std::int64_t>(script.arrivals.size()),
                    cfg.nprocs);
-  RtDispatcher dispatcher(cfg, script, ledger, world, mechs.get());
+  // The request travels as a task envelope; a sealed (crashed)
+  // destination drops it, which finalize() later books as kLost. The
+  // serve closure runs on the server's thread: enqueue, start and
+  // complete land back to back — the rt sojourn is dispatch + transport
+  // latency, there is no simulated compute burn.
+  core::MechanismSet* const ms = mechs.get();
+  Dispatcher dispatcher(
+      cfg.policy, cfg.stale_refresh_s, cfg.policy_seed, script, ledger,
+      ms != nullptr ? &ms->at(0) : nullptr, [&world] { return world.now(); },
+      [&world, &ledger, ms](const Arrival& a, Rank server) {
+        world.postTask(0, server, [&world, &ledger, ms, id = a.id,
+                                   w = a.work, server] {
+          if (ledger.terminal(id)) return;  // zombie past a crash window
+          ledger.enqueued(id, world.now());
+          if (ms != nullptr)
+            ms->at(server).addLocalLoad({w, 0.0},
+                                        /*is_slave_delegated=*/true);
+          ledger.started(id, world.now());
+          ledger.completed(id, world.now());
+          if (ms != nullptr) ms->at(server).addLocalLoad({-w, 0.0});
+        });
+      });
 
   world.start();
   const SimTime t_start = world.now();
@@ -249,8 +151,8 @@ SvcRtResult runSvcRt(const SvcRtConfig& cfg, const ArrivalScript& script) {
   LOADEX_EXPECT(drained, "svc rt run failed to quiesce");
   const LedgerTotals totals = ledger.finalize(world.now());
   ledger.expectConserved();
+  world.stop();  // runStats() folds owner-written counters: workers first
   const rt::RtRunStats rt_stats = world.runStats();
-  world.stop();
 
   if (auditor != nullptr) {
     if (crashed) auditor->noteCrashed(cfg.crash_rank);
@@ -265,7 +167,7 @@ SvcRtResult runSvcRt(const SvcRtConfig& cfg, const ArrivalScript& script) {
                      ledger.queueWait(),
                      ledger.service(),
                      ledger.meanInfoAge(),
-                     dispatcher.digestValue(),
+                     dispatcher.digest(),
                      mechs != nullptr ? mechs->aggregateStats()
                                       : core::MechanismStats{},
                      rt_stats,

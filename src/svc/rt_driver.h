@@ -2,11 +2,12 @@
 // runSvcSim, executed on the loadex_rt runtime.
 //
 // Shape: an external driver thread floods the arrival script into rank
-// 0 through the blocking post() (mailbox backpressure is the pacing);
-// every dispatch decision — reference policy or mechanism view — runs
-// as rank 0 (under rank 0's shard lock), so the dispatcher state
-// (pending queue, policy object, in-flight view flag, injection digest)
-// has one owner at a time exactly like the sim version. The chosen server
+// 0 through the blocking post() (mailbox backpressure is the pacing).
+// Dispatch is the same svc::Dispatcher the simulator uses
+// (svc/service_app.h); every call into it — arrival, reference policy or
+// mechanism view callback — runs as rank 0 (under rank 0's shard lock),
+// so it has one owner at a time exactly like the sim version. This driver
+// supplies only the world clock and the delivery: the chosen server
 // receives the request as a task envelope (postTask); its closure runs
 // as the server rank and records enqueue/start/complete back to
 // back — the rt run measures the *dispatch and transport* sojourn, not

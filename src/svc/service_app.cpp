@@ -26,25 +26,110 @@ core::AuditorConfig svcAuditorConfig(bool faulty) {
   return a;
 }
 
+Dispatcher::Dispatcher(PolicyKind policy, double stale_refresh_s,
+                       std::uint64_t policy_seed, const ArrivalScript& script,
+                       SvcLedger& ledger, core::Mechanism* mech, Clock now,
+                       Deliver deliver)
+    : script_(script),
+      ledger_(ledger),
+      mech_(mech),
+      now_(std::move(now)),
+      deliver_(std::move(deliver)),
+      policy_rng_(policy_seed) {
+  LOADEX_EXPECT((mech != nullptr) == policyUsesMechanism(policy),
+                "mechanism must match the policy kind");
+  if (mech == nullptr) policy_ = makePolicy(policy, stale_refresh_s);
+}
+
+void Dispatcher::arrive(std::size_t idx) {
+  const Arrival& a = script_.arrivals[idx];
+  ledger_.arrived(a.id, now_());
+  digest_.fold(a);
+  pending_.push_back(idx);
+  dispatchPending();
+}
+
+void Dispatcher::dispatchPending() {
+  if (draining_) return;  // the active loop below picks the request up
+  draining_ = true;
+  while (!pending_.empty()) {
+    if (mech_ != nullptr && view_in_flight_) break;
+    const std::size_t idx = pending_.front();
+    pending_.pop_front();
+    const Arrival& a = script_.arrivals[idx];
+    if (mech_ != nullptr) {
+      dispatchViaMechanism(a);
+    } else {
+      dispatchDirect(a);
+    }
+  }
+  draining_ = false;
+}
+
+void Dispatcher::dispatchDirect(const Arrival& a) {
+  ledger_.snapshotBoard(board_scratch_);
+  DispatchContext ctx;
+  ctx.servers = &board_scratch_;
+  ctx.self = 0;
+  ctx.now = now_();
+  const Rank server = policy_->choose(ctx, policy_rng_);
+  if (server == kNoRank) {
+    ledger_.dropped(a.id, DropCause::kNoCandidate, ctx.now);
+    return;
+  }
+  sendRequest(a, server, policy_->lastInfoAge());
+}
+
+void Dispatcher::dispatchViaMechanism(const Arrival& a) {
+  view_in_flight_ = true;
+  harness::selectAndCommit(
+      *mech_, {a.work, 0.0},
+      [this, a](const core::LoadView& v, Rank slave) {
+        // Age of the entry the decision acted on. lastHeardFrom is 0 for
+        // a rank never heard from, so early decisions read as "as old as
+        // the run" — correct: the view really is that uninformed.
+        sendRequest(a, slave, now_() - v.lastHeardFrom(slave));
+        view_in_flight_ = false;
+        dispatchPending();
+      },
+      [this, a](const core::LoadView&) {
+        ledger_.dropped(a.id, DropCause::kNoCandidate, now_());
+        view_in_flight_ = false;
+        dispatchPending();
+      });
+}
+
+void Dispatcher::sendRequest(const Arrival& a, Rank server,
+                             double info_age) {
+  ledger_.dispatched(a.id, server, a.work, now_(), info_age);
+  deliver_(a, server);
+}
+
 ServiceApp::ServiceApp(const SvcSimConfig& cfg, const ArrivalScript& script,
                        SvcLedger& ledger, core::MechanismSet* mechs)
     : cfg_(cfg),
       script_(script),
       ledger_(ledger),
       mechs_(mechs),
-      policy_rng_(cfg.policy_seed),
+      dispatcher_(
+          cfg.policy, cfg.stale_refresh_s, cfg.policy_seed, script, ledger,
+          mechs != nullptr ? &mechs->at(0) : nullptr,
+          [this] { return front_end_->now(); },
+          [this](const Arrival& a, Rank server) {
+            auto payload = std::make_shared<RequestPayload>();
+            payload->id = a.id;
+            payload->work = a.work;
+            front_end_->send(server, sim::Channel::kApp, kSvcRequestTag,
+                             a.bytes, std::move(payload));
+          }),
       queues_(static_cast<std::size_t>(cfg.nprocs)) {
   LOADEX_EXPECT(cfg.nprocs >= 2, "svc needs a dispatcher and a server");
-  LOADEX_EXPECT((mechs != nullptr) == policyUsesMechanism(cfg.policy),
-                "mechanism set must match the policy kind");
-  if (!policyUsesMechanism(cfg.policy))
-    policy_ = makePolicy(cfg.policy, cfg.stale_refresh_s);
 }
 
 void ServiceApp::onStart(sim::Process& p) {
   const Rank r = p.rank();
   if (r == 0) {
-    dispatcher_ = &p;
+    front_end_ = &p;
     if (!script_.arrivals.empty())
       p.queue().scheduleAt(script_.arrivals.front().time,
                            [this] { injectArrival(0); });
@@ -55,76 +140,10 @@ void ServiceApp::onStart(sim::Process& p) {
 }
 
 void ServiceApp::injectArrival(std::size_t idx) {
-  const Arrival& a = script_.arrivals[idx];
-  ledger_.arrived(a.id, dispatcher_->now());
-  digest_.fold(a);
-  pending_.push_back(idx);
   if (idx + 1 < script_.arrivals.size())
-    dispatcher_->queue().scheduleAt(script_.arrivals[idx + 1].time,
-                                    [this, idx] { injectArrival(idx + 1); });
-  dispatchPending();
-}
-
-void ServiceApp::dispatchPending() {
-  if (draining_) return;  // the active loop below picks the request up
-  draining_ = true;
-  while (!pending_.empty()) {
-    if (mechs_ != nullptr && view_in_flight_) break;
-    const std::size_t idx = pending_.front();
-    pending_.pop_front();
-    const Arrival& a = script_.arrivals[idx];
-    if (mechs_ != nullptr) {
-      dispatchViaMechanism(a);
-    } else {
-      dispatchDirect(a);
-    }
-  }
-  draining_ = false;
-}
-
-void ServiceApp::dispatchDirect(const Arrival& a) {
-  ledger_.snapshotBoard(board_scratch_);
-  DispatchContext ctx;
-  ctx.servers = &board_scratch_;
-  ctx.self = 0;
-  ctx.now = dispatcher_->now();
-  const Rank server = policy_->choose(ctx, policy_rng_);
-  if (server == kNoRank) {
-    ledger_.dropped(a.id, DropCause::kNoCandidate, ctx.now);
-    return;
-  }
-  sendRequest(a, server, policy_->lastInfoAge());
-}
-
-void ServiceApp::dispatchViaMechanism(const Arrival& a) {
-  view_in_flight_ = true;
-  core::Mechanism& m = mechs_->at(0);
-  harness::selectAndCommit(
-      m, {a.work, 0.0},
-      [this, a](const core::LoadView& v, Rank slave) {
-        const SimTime now = dispatcher_->now();
-        // Age of the entry the decision acted on. lastHeardFrom is 0 for
-        // a rank never heard from, so early decisions read as "as old as
-        // the run" — correct: the view really is that uninformed.
-        sendRequest(a, slave, now - v.lastHeardFrom(slave));
-        view_in_flight_ = false;
-        dispatchPending();
-      },
-      [this, a](const core::LoadView&) {
-        ledger_.dropped(a.id, DropCause::kNoCandidate, dispatcher_->now());
-        view_in_flight_ = false;
-        dispatchPending();
-      });
-}
-
-void ServiceApp::sendRequest(const Arrival& a, Rank server,
-                             double info_age) {
-  ledger_.dispatched(a.id, server, a.work, dispatcher_->now(), info_age);
-  auto payload = std::make_shared<RequestPayload>();
-  payload->id = a.id;
-  payload->work = a.work;
-  dispatcher_->send(server, sim::Channel::kApp, kSvcRequestTag, a.bytes,
-                    std::move(payload));
+    front_end_->queue().scheduleAt(script_.arrivals[idx + 1].time,
+                                   [this, idx] { injectArrival(idx + 1); });
+  dispatcher_.arrive(idx);
 }
 
 void ServiceApp::onAppMessage(sim::Process& p, const sim::Message& m) {
@@ -163,7 +182,7 @@ std::optional<sim::ComputeTask> ServiceApp::nextTask(sim::Process& p) {
 
 bool ServiceApp::finished(const sim::Process& p) const {
   const Rank r = p.rank();
-  if (r == 0) return pending_.empty();
+  if (r == 0) return dispatcher_.idle();
   return queues_[static_cast<std::size_t>(r)].empty();
 }
 

@@ -4,8 +4,9 @@
 //
 // Topology: rank 0 is the dispatcher front-end (it never computes),
 // ranks 1..n-1 are servers. Arrivals from an ArrivalScript fire on the
-// event clock at rank 0; each request is routed by the configured
-// PolicyKind:
+// event clock at rank 0 and go to the svc::Dispatcher below, which both
+// runtimes share (runSvcRt drives the same class on real threads). It
+// routes each request by the configured PolicyKind:
 //
 //   * reference policies (random / round-robin / shortest-queue /
 //     stale-shortest-queue) choose synchronously from the ledger's
@@ -38,6 +39,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -59,6 +61,52 @@ inline constexpr int kSvcRequestTag = 200;
 struct RequestPayload final : sim::Payload {
   std::int64_t id = 0;
   double work = 0.0;
+};
+
+/// Rank 0's dispatch state and decision step. A runtime supplies only its
+/// clock and how a dispatched request reaches its server; every call runs
+/// as rank 0, so the state has one owner at a time on either runtime.
+class Dispatcher {
+ public:
+  using Clock = std::function<SimTime()>;
+  /// Hand request `a` to `server`; the ledger has booked the dispatch.
+  using Deliver = std::function<void(const Arrival& a, Rank server)>;
+
+  /// `mech` is rank 0's mechanism, null for reference policies. The
+  /// script, ledger and mechanism must outlive the dispatcher.
+  Dispatcher(PolicyKind policy, double stale_refresh_s,
+             std::uint64_t policy_seed, const ArrivalScript& script,
+             SvcLedger& ledger, core::Mechanism* mech, Clock now,
+             Deliver deliver);
+  Dispatcher(const Dispatcher&) = delete;  // view callbacks hold `this`
+  Dispatcher& operator=(const Dispatcher&) = delete;
+
+  /// Arrival `idx` of the script reaches rank 0: book it, fold it into
+  /// the digest and dispatch whatever the in-flight view lets through.
+  void arrive(std::size_t idx);
+
+  bool idle() const { return pending_.empty(); }
+  std::uint64_t digest() const { return digest_.value(); }
+
+ private:
+  void dispatchPending();
+  void dispatchDirect(const Arrival& a);
+  void dispatchViaMechanism(const Arrival& a);
+  void sendRequest(const Arrival& a, Rank server, double info_age);
+
+  const ArrivalScript& script_;
+  SvcLedger& ledger_;
+  core::Mechanism* mech_;
+  Clock now_;
+  Deliver deliver_;
+
+  std::unique_ptr<DispatchPolicy> policy_;  ///< reference policies only
+  Rng policy_rng_;
+  std::deque<std::size_t> pending_;  ///< script indices awaiting dispatch
+  bool view_in_flight_ = false;
+  bool draining_ = false;
+  std::vector<ServerStat> board_scratch_;
+  ArrivalDigest digest_;
 };
 
 struct SvcSimConfig {
@@ -122,7 +170,7 @@ class ServiceApp final : public sim::Application {
   void onProcessFault(sim::Process& p,
                       loadex::ProcessFaultEvent::Kind kind) override;
 
-  std::uint64_t injectedDigest() const { return digest_.value(); }
+  std::uint64_t injectedDigest() const { return dispatcher_.digest(); }
 
  private:
   struct QueuedRequest {
@@ -131,26 +179,14 @@ class ServiceApp final : public sim::Application {
   };
 
   void injectArrival(std::size_t idx);
-  /// Drain the dispatcher backlog; trampolined so a synchronous view
-  /// callback re-entering it cannot recurse.
-  void dispatchPending();
-  void dispatchDirect(const Arrival& a);
-  void dispatchViaMechanism(const Arrival& a);
-  void sendRequest(const Arrival& a, Rank server, double info_age);
 
   const SvcSimConfig& cfg_;
   const ArrivalScript& script_;
   SvcLedger& ledger_;
   core::MechanismSet* mechs_;
 
-  sim::Process* dispatcher_ = nullptr;
-  std::unique_ptr<DispatchPolicy> policy_;  ///< reference policies only
-  Rng policy_rng_;
-  std::deque<std::size_t> pending_;  ///< script indices awaiting dispatch
-  bool view_in_flight_ = false;
-  bool draining_ = false;
-  std::vector<ServerStat> board_scratch_;
-  ArrivalDigest digest_;
+  sim::Process* front_end_ = nullptr;  ///< rank 0, bound in onStart
+  Dispatcher dispatcher_;
 
   /// Per-server FIFO run queues, indexed by rank (index 0 unused).
   std::vector<std::deque<QueuedRequest>> queues_;

@@ -25,30 +25,15 @@ MechanismConfig tinyThreshold() {
   return cfg;
 }
 
-/// Fig. 1-shaped scenario: loads, one long task, two selections with the
-/// real delegated work shipped to the chosen slaves.
+/// Fig. 1-shaped scenario: loads, then two selections with the real
+/// delegated work shipped to the chosen slaves (the shared replay core).
 void runFig1Scenario(CoreHarness& h) {
-  h.at(0.1, [&] {
-    h.mechs.at(0).addLocalLoad({50.0, 0.0});
-    h.mechs.at(1).addLocalLoad({50.0, 0.0});
-    h.mechs.at(2).addLocalLoad({10.0, 0.0});
-  });
-  auto selection = [&h](Rank master) {
-    auto& m = h.mechs.at(master);
-    m.requestView([&h, &m, master](const LoadView& v) {
-      Rank slave = kNoRank;
-      for (Rank r = 0; r < v.nprocs(); ++r) {
-        if (r == master) continue;
-        if (slave == kNoRank || v.load(r).workload < v.load(slave).workload)
-          slave = r;
-      }
-      m.commitSelection({{slave, LoadMetrics{100.0, 0.0}}});
-      test::sendWork(h.world.process(master), slave, 100.0,
-                     LoadMetrics{100.0, 0.0}, /*is_slave_delegated=*/true);
-    });
-  };
-  h.atWhenFree(2.0, 0, [&, selection] { selection(0); });
-  h.atWhenFree(3.0, 1, [&, selection] { selection(1); });
+  harness::Script s;
+  s.nprocs = 3;
+  s.loads = {{0.1, 0, {50.0, 0.0}}, {0.1, 1, {50.0, 0.0}},
+             {0.1, 2, {10.0, 0.0}}};
+  s.selections = {{2.0, 0, 100.0}, {3.0, 1, 100.0}};
+  const harness::SimReplay replay(h, s);
   h.run();
 }
 

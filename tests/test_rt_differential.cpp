@@ -84,35 +84,16 @@ struct Replay {
 Replay runOnSimulator(const Script& s) {
   harness::CoreHarness h(s.nprocs, s.kind, mechanismConfigOf(s));
   h.attachAuditor(auditorConfigOf(s));
-
-  Replay rep;
-  for (const auto& op : s.loads)
-    h.at(op.time, [&h, op] { h.mechs.at(op.rank).addLocalLoad(op.delta); });
-  for (const auto& op : s.selections)
-    h.atWhenFree(op.time, op.master, [&h, &rep, op] {
-      auto& m = h.mechs.at(op.master);
-      m.requestView([&h, &rep, op, &m](const core::LoadView& v) {
-        const Rank slave = harness::leastLoadedSlave(v, op.master);
-        if (slave == kNoRank) {
-          ++rep.skipped;
-          return;
-        }
-        m.commitSelection({{slave, {op.share, 0.0}}});
-        ++rep.committed;
-        harness::sendWork(h.world.process(op.master), slave,
-                          /*work=*/op.share * 1e3, {op.share, 0.0},
-                          /*is_slave_delegated=*/true);
-      });
-    });
-  if (s.no_more_master != kNoRank)
-    h.at(s.no_more_master_at,
-         [&h, r = s.no_more_master] { h.mechs.at(r).noMoreMaster(); });
-
+  const harness::SimReplay replay(h, s);
   h.run();
   h.finishAudit();
 
-  for (Rank r = 0; r < s.nprocs; ++r)
+  Replay rep;
+  for (Rank r = 0; r < s.nprocs; ++r) {
+    rep.committed += replay.tally(r).committed;
+    rep.skipped += replay.tally(r).skipped;
     rep.total_load += h.mechs.at(r).localLoad();
+  }
   rep.mech_messages_sent = h.mechs.aggregateStats().messagesSent();
   return rep;
 }
@@ -416,6 +397,104 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<core::MechanismKind>& i) {
       return std::string(core::mechanismKindName(i.param));
     });
+
+// ---- the replay core's op rule ---------------------------------------------
+
+/// One snapshot selection by rank 0 at t=0.5, after a load on every rank.
+Script oneSnapshotSelection() {
+  Script s;
+  s.kind = MechanismKind::kSnapshot;
+  for (Rank r = 0; r < s.nprocs; ++r) s.loads.push_back({0.1, r, {3.0, 1.0}});
+  s.selections.push_back({0.5, 0, 12.0});
+  return s;
+}
+
+// Every peer of the master is declared dead before its selection. The
+// hardened snapshot completes at once on the empty quorum, the view has no
+// eligible slave, and the skip must still commit an empty selection, or
+// the snapshot never closes.
+TEST(ReplayCore, SkippedSnapshotSelectionStillCommitsOnSimAndRt) {
+  const Script s = oneSnapshotSelection();
+  MechanismConfig mcfg = mechanismConfigOf(s);
+  mcfg.reliability.snapshot_timeout_s = 0.05;
+  const auto declarePeersDead = [&s](core::Mechanism& m) {
+    for (Rank r = 1; r < s.nprocs; ++r) m.notePeerDead(r);
+  };
+  const auto expectOneEmptyCommit = [&s](const core::MechanismSet& mechs,
+                                         std::int64_t committed,
+                                         std::int64_t skipped) {
+    EXPECT_EQ(committed, 0);
+    EXPECT_EQ(skipped, 1);
+    EXPECT_EQ(mechs.at(0).stats().selections, 1);
+    for (Rank r = 0; r < s.nprocs; ++r)
+      EXPECT_FALSE(mechs.at(r).blocksComputation()) << "snapshot live at " << r;
+  };
+
+  harness::CoreHarness h(s.nprocs, s.kind, mcfg);
+  h.attachAuditor(auditorConfigOf(s));
+  h.at(0.2, [&] { declarePeersDead(h.mechs.at(0)); });
+  const harness::SimReplay replay(h, s);
+  h.run();
+  h.finishAudit();
+  expectOneEmptyCommit(h.mechs, replay.tally(0).committed,
+                       replay.tally(0).skipped);
+
+  rt::RtConfig rcfg;
+  rcfg.nprocs = s.nprocs;
+  rt::RtWorld world(rcfg);
+  core::MechanismSet mechs(world.transports(), s.kind, mcfg);
+  core::ProtocolAuditor auditor(auditorConfigOf(s));
+  rt::RtAuditBinding audit_binding(auditor, mechs);
+  for (Rank r = 0; r < s.nprocs; ++r) world.attach(r, &mechs.at(r));
+  world.start();
+  // Rank 0's mailbox is FIFO: this runs before the driver's selection.
+  world.post(0, [&] { declarePeersDead(mechs.at(0)); });
+  const rt::WorkloadResult res = rt::WorkloadDriver(world, mechs).run(s);
+  EXPECT_TRUE(res.drained);
+  world.stop();
+  auditor.finish();
+  auditor.expectClean();
+  expectOneEmptyCommit(mechs, res.selections_committed,
+                       res.selections_skipped);
+}
+
+/// Records rank 0's scripted load changes ('L') and decisions ('S').
+struct OrderProbe final : core::AuditObserver {
+  std::string events;
+  void onLocalLoad(const core::Mechanism&, const core::LoadMetrics&,
+                   bool delegated) override {
+    if (!delegated) events += 'L';
+  }
+  void onSelection(const core::Mechanism&,
+                   const core::SlaveSelection&) override {
+    events += 'S';
+  }
+};
+
+// Loads scripted on a snapshot master between its selection and the view
+// callback are not held behind the pending decision: on sim they apply
+// while the snapshot gathers; on sim and net the load is conserved.
+TEST(ReplayCore, MasterLoadsApplyWhileItsSnapshotIsPending) {
+  Script s = oneSnapshotSelection();
+  s.loads.push_back({0.5, 0, {7.0, 2.0}});  // same time, after the select
+  s.loads.push_back({0.5, 0, {-1.5, 0.0}});
+  const ScriptExpectations want = harness::expectationsOf(s);
+
+  harness::CoreHarness h(s.nprocs, s.kind, mechanismConfigOf(s));
+  OrderProbe probe;
+  h.mechs.at(0).setAuditObserver(&probe);
+  const harness::SimReplay replay(h, s);
+  h.run();
+  EXPECT_EQ(probe.events, "LLLS");
+  EXPECT_EQ(replay.tally(0).committed, 1);
+  core::LoadMetrics total;
+  for (Rank r = 0; r < s.nprocs; ++r) total += h.mechs.at(r).localLoad();
+  expectLoadNear(total, want.total_load);
+
+  const Replay netr = runOnNet(s);
+  EXPECT_EQ(netr.committed, 1);
+  expectLoadNear(netr.total_load, want.total_load);
+}
 
 }  // namespace
 }  // namespace loadex

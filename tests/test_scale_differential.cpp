@@ -2,7 +2,8 @@
 //
 // Every scenario draws a world size, mechanism kind, thresholds, jitter and
 // message-fault configuration from a seeded RNG, builds the identical
-// scripted workload twice — once with NetworkConfig::legacy_kernel (each
+// scripted workload (a harness::Script replayed by harness::SimReplay, plus
+// plain compute tasks) twice — once with NetworkConfig::legacy_kernel (each
 // broadcast destination scheduled as its own event, the pre-pool kernel's
 // behaviour) and once with the lazy logical-broadcast fast path — and
 // asserts the two runs are observably identical: same schedule digest,
@@ -26,17 +27,9 @@
 namespace loadex {
 namespace {
 
-using core::LoadMetrics;
 using core::MechanismKind;
 
 // ---- scenario plan --------------------------------------------------------
-
-struct LoadOp {
-  SimTime time = 0.0;
-  Rank rank = 0;
-  double workload = 0.0;
-  double memory = 0.0;
-};
 
 struct TaskOp {
   SimTime time = 0.0;
@@ -44,39 +37,20 @@ struct TaskOp {
   Flops work = 0.0;
 };
 
-struct SelectOp {
-  SimTime time = 0.0;
-  Rank master = 0;
-  double share = 0.0;
-};
-
-struct Scenario {
-  std::uint64_t seed = 0;
-  int nprocs = 4;
-  MechanismKind kind = MechanismKind::kNaive;
-  bool hardened = false;  ///< increment only: reliable_updates
-  double threshold = 5.0;
+/// A Script (loads, selections, No_more_master) plus the kernel knobs and
+/// plain compute tasks this suite varies on top of it.
+struct Scenario : harness::Script {
   double jitter_s = 0.0;
   FaultPlan faults;
-  std::vector<LoadOp> loads;
   std::vector<TaskOp> tasks;
-  std::vector<SelectOp> selections;
-  Rank no_more_master = kNoRank;  ///< rank announcing No_more_master, if any
-  SimTime no_more_master_at = 0.0;
 };
 
+/// harness::drawScript's plan (at up to 32 ranks), then jitter, faults and
+/// tasks from a second stream of the same seed.
 Scenario drawScenario(std::uint64_t seed) {
-  Rng rng(seed);
   Scenario s;
-  s.seed = seed;
-  s.nprocs = static_cast<int>(4 + rng.uniformInt(29));  // 4..32
-  switch (rng.uniformInt(3)) {
-    case 0: s.kind = MechanismKind::kNaive; break;
-    case 1: s.kind = MechanismKind::kIncrement; break;
-    default: s.kind = MechanismKind::kSnapshot; break;
-  }
-  if (s.kind == MechanismKind::kIncrement) s.hardened = rng.uniformInt(2) == 0;
-  s.threshold = rng.uniformReal(0.5, 15.0);
+  static_cast<harness::Script&>(s) = harness::drawScript(seed, 4, 32);
+  Rng rng(seed ^ 0x5ca1edULL);
   if (rng.uniformInt(2) == 0) s.jitter_s = rng.uniformReal(1e-6, 1e-4);
 
   // One scenario in three runs on a lossy network. The snapshot protocol
@@ -100,32 +74,12 @@ Scenario drawScenario(std::uint64_t seed) {
     }
   }
 
-  const auto randRank = [&] {
-    return static_cast<Rank>(
-        rng.uniformInt(static_cast<std::uint64_t>(s.nprocs)));
-  };
-
-  const int nloads = s.nprocs * 4 + static_cast<int>(rng.uniformInt(20));
-  for (int i = 0; i < nloads; ++i)
-    s.loads.push_back({rng.uniformReal(0.01, 1.0), randRank(),
-                       rng.uniformReal(-4.0, 24.0), rng.uniformReal(0.0, 8.0)});
-
+  const auto n = static_cast<std::uint64_t>(s.nprocs);
   const int ntasks = s.nprocs + static_cast<int>(rng.uniformInt(12));
   for (int i = 0; i < ntasks; ++i)
-    s.tasks.push_back({rng.uniformReal(0.01, 0.8), randRank(),
+    s.tasks.push_back({rng.uniformReal(0.01, 0.8),
+                       static_cast<Rank>(rng.uniformInt(n)),
                        rng.uniformReal(1e3, 5e5)});
-
-  // A few masters take decisions; each selection delegates real work so
-  // the auditor's reservation accounting closes.
-  const int nsel = 1 + static_cast<int>(rng.uniformInt(4));
-  for (int i = 0; i < nsel; ++i)
-    s.selections.push_back({0.3 + 0.25 * i + rng.uniformReal(0.0, 0.1),
-                            randRank(), rng.uniformReal(5.0, 40.0)});
-
-  if (rng.uniformInt(4) == 0) {
-    s.no_more_master = randRank();
-    s.no_more_master_at = rng.uniformReal(0.6, 0.9);
-  }
   return s;
 }
 
@@ -143,16 +97,6 @@ struct Observed {
   sim::BroadcastPathStats bcast;
   sim::PoolStats pool;
 };
-
-Rank leastLoaded(const core::LoadView& v, Rank self) {
-  Rank best = kNoRank;
-  for (Rank r = 0; r < v.nprocs(); ++r) {
-    if (r == self) continue;
-    if (best == kNoRank || v.load(r).workload < v.load(best).workload)
-      best = r;
-  }
-  return best;
-}
 
 Observed runScenario(const Scenario& s, bool legacy_kernel) {
   sim::WorldConfig wcfg;
@@ -173,30 +117,12 @@ Observed runScenario(const Scenario& s, bool legacy_kernel) {
   acfg.check_conservation = s.no_more_master == kNoRank;
   h.attachAuditor(acfg);
 
-  for (const LoadOp& op : s.loads)
-    h.at(op.time, [&h, op] {
-      h.mechs.at(op.rank).addLocalLoad({op.workload, op.memory});
-    });
   for (const TaskOp& op : s.tasks)
     h.at(op.time, [&h, op] {
       h.app.pushTask(op.rank, op.work);
       h.world.process(op.rank).notifyReadyWork();
     });
-  for (const SelectOp& op : s.selections)
-    h.atWhenFree(op.time, op.master, [&h, op] {
-      auto& m = h.mechs.at(op.master);
-      m.requestView([&h, op, &m](const core::LoadView& v) {
-        const Rank slave = leastLoaded(v, op.master);
-        if (slave == kNoRank) return;
-        m.commitSelection({{slave, {op.share, 0.0}}});
-        harness::sendWork(h.world.process(op.master), slave,
-                          /*work=*/op.share * 1e3, {op.share, 0.0},
-                          /*is_slave_delegated=*/true);
-      });
-    });
-  if (s.no_more_master != kNoRank)
-    h.at(s.no_more_master_at,
-         [&h, r = s.no_more_master] { h.mechs.at(r).noMoreMaster(); });
+  const harness::SimReplay replay(h, s);
 
   const sim::RunResult res = h.run();
   h.finishAudit();
@@ -262,7 +188,7 @@ TEST(ScaleDifferential, LazyPathEngagesOnBroadcastStorms) {
   for (int i = 0; i < 120; ++i)
     s.loads.push_back({rng.uniformReal(0.01, 1.0),
                        static_cast<Rank>(rng.uniformInt(24)),
-                       rng.uniformReal(2.0, 24.0), 0.0});
+                       {rng.uniformReal(2.0, 24.0), 0.0}});
   const Observed lazy = runScenario(s, /*legacy_kernel=*/false);
   EXPECT_GT(lazy.bcast.logical_broadcasts, 0);
   EXPECT_GT(lazy.bcast.fanout_deliveries, lazy.bcast.logical_broadcasts);

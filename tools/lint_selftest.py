@@ -46,18 +46,11 @@ class MutexLock {};
 }  // namespace loadex::sync
 """
 
-# Coherent StateTag/MechanismKind dispatch tree (the exhaustiveness rules
-# read these fixed paths); also hosts the payload-cast exemption.
+# Coherent StateTag dispatch tree (statetag-exhaustive reads these fixed
+# paths); also hosts the payload-cast exemption.
 CORE_OK = {
     "src/core/payloads.h": """#pragma once
 enum class StateTag : int { kLoad = 0, kSnap = 1 };
-inline const char* stateTagName(StateTag t) {
-  switch (t) {
-    case StateTag::kLoad: return "load";
-    case StateTag::kSnap: return "snap";
-  }
-  return "?";
-}
 struct BasePayload {};
 inline BasePayload* reCast(BasePayload* p) {
   return dynamic_cast<BasePayload*>(p);
@@ -85,23 +78,6 @@ void handleStateNaive(StateTag t) {
   }
 }
 """,
-    "src/core/mechanism.h": """#pragma once
-enum class MechanismKind : int { kNaive = 0 };
-""",
-    "src/core/mechanism.cpp": """const char* mechanismKindName(MechanismKind k) {
-  switch (k) {
-    case MechanismKind::kNaive: return "naive";
-  }
-  return "?";
-}
-""",
-    "src/core/binding.cpp": """int makeMechanism(MechanismKind k) {
-  switch (k) {
-    case MechanismKind::kNaive: return 1;
-  }
-  return 0;
-}
-""",
 }
 
 CORE_STALE_CASE = dict(CORE_OK)
@@ -109,85 +85,6 @@ CORE_STALE_CASE["src/core/snapshot.cpp"] = """void handleState(StateTag t) {
   switch (t) {
     case StateTag::kLoad: break;
   }
-}
-"""
-
-CORE_FACTORY_GAP = dict(CORE_OK)
-CORE_FACTORY_GAP["src/core/binding.cpp"] = """int makeMechanism(MechanismKind k) {
-  (void)k;
-  return 0;
-}
-"""
-
-# Coherent PolicyKind dispatch pair for the service workload (the
-# policykind-exhaustive rule reads these fixed paths).
-SVC_OK = {
-    "src/svc/policy.h": """#pragma once
-enum class PolicyKind : int { kRandom = 0, kNaive = 1 };
-""",
-    "src/svc/policy.cpp": """const char* policyKindName(PolicyKind k) {
-  switch (k) {
-    case PolicyKind::kRandom: return "random";
-    case PolicyKind::kNaive: return "naive";
-  }
-  return "?";
-}
-int makePolicy(PolicyKind k) {
-  switch (k) {
-    case PolicyKind::kRandom: return 1;
-    case PolicyKind::kNaive: return 2;
-  }
-  return 0;
-}
-""",
-}
-
-SVC_FACTORY_GAP = dict(SVC_OK)
-SVC_FACTORY_GAP["src/svc/policy.cpp"] = """const char* policyKindName(PolicyKind k) {
-  switch (k) {
-    case PolicyKind::kRandom: return "random";
-    case PolicyKind::kNaive: return "naive";
-  }
-  return "?";
-}
-int makePolicy(PolicyKind k) {
-  switch (k) {
-    case PolicyKind::kRandom: return 1;
-  }
-  return 0;
-}
-"""
-
-# Wire codec covering the CORE_OK StateTag enum in both directions (the
-# wirecodec-exhaustive rule reads this fixed path next to the core tree).
-NET_WIRE_OK = dict(CORE_OK)
-NET_WIRE_OK["src/net/wire.cpp"] = """void encodeStatePayload(StateTag tag) {
-  switch (tag) {
-    case StateTag::kLoad: break;
-    case StateTag::kSnap: break;
-  }
-}
-int decodeStatePayload(StateTag tag) {
-  switch (tag) {
-    case StateTag::kLoad: return 1;
-    case StateTag::kSnap: return 2;
-  }
-  return 0;
-}
-"""
-
-NET_WIRE_DECODE_GAP = dict(NET_WIRE_OK)
-NET_WIRE_DECODE_GAP["src/net/wire.cpp"] = """void encodeStatePayload(StateTag tag) {
-  switch (tag) {
-    case StateTag::kLoad: break;
-    case StateTag::kSnap: break;
-  }
-}
-int decodeStatePayload(StateTag tag) {
-  switch (tag) {
-    case StateTag::kLoad: return 1;
-  }
-  return 0;
 }
 """
 
@@ -282,14 +179,6 @@ CASES = [
      "statetag-exhaustive"),
     ("statetag-exhaustive clean", CORE_OK, None),
 
-    ("mechanismkind-exhaustive fires on a factory gap", CORE_FACTORY_GAP,
-     "mechanismkind-exhaustive"),
-    ("mechanismkind-exhaustive clean", CORE_OK, None),
-
-    ("policykind-exhaustive fires on a factory gap", SVC_FACTORY_GAP,
-     "policykind-exhaustive"),
-    ("policykind-exhaustive clean", SVC_OK, None),
-
     ("raw-socket fires outside src/net", {
         "src/sim/a.cpp": "int f() { return ::socket(2, 1, 0); }\n"
                          "int g(int fd) { return epoll_wait(fd, 0, 8, -1); }\n",
@@ -301,10 +190,6 @@ CASES = [
             "void f(World& w, Mech* m) { w.bind(m); }\n"
             "auto g() { return std::bind(h, 1); }\n",
     }, None),
-
-    ("wirecodec-exhaustive fires on a decode gap", NET_WIRE_DECODE_GAP,
-     "wirecodec-exhaustive"),
-    ("wirecodec-exhaustive clean", NET_WIRE_OK, None),
 
     ("trace-macro-guard fires on an unguarded macro", {
         "src/obs/macros.h": "#pragma once\n"

@@ -62,30 +62,20 @@ that protect them:
   naked-new-delete       raw new/delete expressions — ownership must be
                          expressed with unique_ptr/shared_ptr/containers.
   pragma-once            every header must contain #pragma once.
-  statetag-exhaustive    the StateTag enum, stateTagName(), and each
-                         mechanism's handleState() dispatch must stay in
-                         sync: no stale case labels, no enumerator missing
-                         from the name table, every enumerator consumed by
-                         at least one mechanism, and every dispatch either
-                         names all tags or ends in a rejecting default.
-  mechanismkind-exhaustive  same for MechanismKind across mechanismKindName()
-                         and the makeMechanism() factory.
-  policykind-exhaustive  same for the service workload's PolicyKind
-                         (src/svc/policy.h) across policyKindName() and the
-                         makePolicy() factory — a policy added to the enum
-                         but missing from either is a silent dispatch gap.
+  statetag-exhaustive    the StateTag enum and each mechanism's
+                         handleState() dispatch must stay in sync: no stale
+                         case labels, every enumerator consumed by at least
+                         one mechanism, and every dispatch either names all
+                         tags or ends in a rejecting default. (The switches
+                         without a default: — stateTagName(), the kind and
+                         policy name tables and factories, the wire codec —
+                         are the compiler's job: -Werror=switch.)
   raw-socket             socket()/bind()/listen()/connect()/accept() and the
                          epoll_* syscalls outside src/net — every kernel
                          socket touch goes through the typed RAII helpers
                          (src/net/socket.h), so fd ownership, non-blocking
                          setup and error mapping have one point of truth
                          and the rest of the repo stays host-API-free.
-  wirecodec-exhaustive   the wire codec (src/net/wire.cpp) must dispatch on
-                         every StateTag in both directions: a tag missing
-                         from encodeStatePayload() or decodeStatePayload()
-                         is a message kind that silently cannot cross the
-                         process boundary (or a stale case after an enum
-                         change).
   trace-macro-guard      every LOADEX_TRACE_* / LOADEX_METRIC macro defined
                          in src/obs must wrap its body in the
                          `do { if (auto* x = ::loadex::obs::...()) {` null
@@ -127,9 +117,7 @@ KNOWN_RULES = frozenset({
     "banned-randomness", "banned-wallclock", "banned-threading",
     "thread-lifecycle", "payload-cast", "unordered-iteration",
     "naked-new-delete", "pragma-once", "statetag-exhaustive",
-    "mechanismkind-exhaustive", "policykind-exhaustive",
     "trace-macro-guard", "raw-sync", "raw-socket",
-    "wirecodec-exhaustive",
     "sync-annotation-coverage", "lock-hierarchy", "all",
 })
 
@@ -578,14 +566,6 @@ def check_enum_dispatch(root: Path, findings: list[Finding]) -> None:
         return
     tag_set = set(tags)
 
-    # stateTagName must name every tag (no default hides a gap).
-    named = case_labels(text, "StateTag")
-    for t in tags:
-        if t not in named:
-            findings.append(Finding(
-                payloads, 1, "statetag-exhaustive",
-                f"StateTag::{t} is missing from stateTagName()"))
-
     handled_anywhere: set[str] = set()
     for mech in ("naive.cpp", "increment.cpp", "snapshot.cpp"):
         p = root / "src/core" / mech
@@ -611,114 +591,6 @@ def check_enum_dispatch(root: Path, findings: list[Finding]) -> None:
                 payloads, 1, "statetag-exhaustive",
                 f"StateTag::{t} is dispatched by no mechanism "
                 "(dead protocol surface)"))
-
-    # MechanismKind: name table and factory must stay exhaustive.
-    mech_h = root / "src/core/mechanism.h"
-    kinds = set(parse_enum(mech_h.read_text(encoding="utf-8"),
-                           "MechanismKind"))
-    for rel_file, fn in (("src/core/mechanism.cpp", "mechanismKindName"),
-                         ("src/core/binding.cpp", "makeMechanism")):
-        p = root / rel_file
-        ftext = strip_comments_and_strings(p.read_text(encoding="utf-8"))
-        labels = case_labels(ftext, "MechanismKind")
-        for label in labels - kinds:
-            findings.append(Finding(
-                p, 1, "mechanismkind-exhaustive",
-                f"{fn}() names unknown MechanismKind::{label}"))
-        for label in kinds - labels:
-            findings.append(Finding(
-                p, 1, "mechanismkind-exhaustive",
-                f"MechanismKind::{label} is missing from {fn}()"))
-
-
-def function_body(text: str, fn_name: str) -> str:
-    """The brace-matched body of fn_name's definition ('' if absent).
-
-    Expects comment/string-stripped text; the first `fn_name(...) {` with
-    no `;` between the parameter list and the brace is taken to be the
-    definition (call sites inside expressions hit a `;` or `)` first).
-    """
-    m = re.search(fn_name + r"\s*\([^;{]*\)[^;{]*\{", text)
-    if not m:
-        return ""
-    depth = 1
-    i = m.end()
-    while i < len(text) and depth > 0:
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-        i += 1
-    return text[m.end():i]
-
-
-def check_wire_dispatch(root: Path, findings: list[Finding]) -> None:
-    """The socket transport's wire codec must cover every StateTag in
-    both directions. encodeStatePayload() ends in a rejecting dispatch,
-    so a missing case there would abort at runtime — but only when that
-    message kind first crosses a process boundary; this check moves the
-    failure to lint time. decodeStatePayload() maps unknown tags to a
-    decode error (connection drop), which would quietly blackhole a
-    freshly added message kind."""
-    wire = root / "src/net/wire.cpp"
-    payloads = root / "src/core/payloads.h"
-    if not wire.is_file() or not payloads.is_file():  # subtree scan
-        return
-    tags = set(parse_enum(payloads.read_text(encoding="utf-8"), "StateTag"))
-    if not tags:  # statetag-exhaustive already reports the parse failure
-        return
-    wtext = strip_comments_and_strings(wire.read_text(encoding="utf-8"))
-    for fn in ("encodeStatePayload", "decodeStatePayload"):
-        body = function_body(wtext, fn)
-        if not body:
-            findings.append(Finding(
-                wire, 1, "wirecodec-exhaustive",
-                f"could not find {fn}() — the codec dispatch the socket "
-                "transport serializes state messages through"))
-            continue
-        labels = case_labels(body, "StateTag")
-        for label in sorted(labels - tags):
-            findings.append(Finding(
-                wire, 1, "wirecodec-exhaustive",
-                f"{fn}() names unknown StateTag::{label} "
-                "(stale case after an enum change?)"))
-        for label in sorted(tags - labels):
-            findings.append(Finding(
-                wire, 1, "wirecodec-exhaustive",
-                f"StateTag::{label} is missing from {fn}() — this "
-                "message kind cannot cross a process boundary"))
-
-
-def check_policy_dispatch(root: Path, findings: list[Finding]) -> None:
-    """PolicyKind (service workload): the name table and the factory must
-    each name every enumerator. Both switches live in policy.cpp, so the
-    labels are collected per function body, not per file."""
-    policy_h = root / "src/svc/policy.h"
-    if not policy_h.is_file():  # scanning a subtree, not the repo
-        return
-    kinds = set(parse_enum(policy_h.read_text(encoding="utf-8"),
-                           "PolicyKind"))
-    if not kinds:
-        findings.append(Finding(policy_h, 1, "policykind-exhaustive",
-                                "could not parse the PolicyKind enum"))
-        return
-    p = root / "src/svc/policy.cpp"
-    ptext = strip_comments_and_strings(p.read_text(encoding="utf-8"))
-    for fn in ("policyKindName", "makePolicy"):
-        body = function_body(ptext, fn)
-        if not body:
-            findings.append(Finding(p, 1, "policykind-exhaustive",
-                                    f"could not find {fn}()"))
-            continue
-        labels = case_labels(body, "PolicyKind")
-        for label in labels - kinds:
-            findings.append(Finding(
-                p, 1, "policykind-exhaustive",
-                f"{fn}() names unknown PolicyKind::{label}"))
-        for label in kinds - labels:
-            findings.append(Finding(
-                p, 1, "policykind-exhaustive",
-                f"PolicyKind::{label} is missing from {fn}()"))
 
 
 # ---------------------------------------------------------------------------
@@ -880,8 +752,6 @@ def main(argv: list[str]) -> int:
         check_lock_hierarchy(rel, path, code_lines, lock_ranks, findings)
     if not args.files:
         check_enum_dispatch(root, findings)
-        check_wire_dispatch(root, findings)
-        check_policy_dispatch(root, findings)
         check_trace_macro_guard(root, findings)
 
     findings, used_allows = filter_allowed(findings, file_raw)
